@@ -22,6 +22,11 @@ cargo test -q
 echo "== workspace tests"
 cargo test -q --workspace
 
+echo "== benchmark harness tests"
+# perfbench is its own workspace; building and testing it here keeps a
+# refactor from silently breaking the public entry points it drives.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== smoke: fleetbench checkpoint / kill / resume"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/indra-ci-smoke.XXXXXX")"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -144,18 +149,24 @@ echo "== smoke: compartments off is byte-identical when attack-free"
 # Compartment tracking is free on the hot path: with no attacks and no
 # faults the deterministic FleetStats must not move by a single byte
 # when the feature is disabled. (Under attack it changes outcomes by
-# design, so the equivalence leg pins attack-per-mille 0.)
-CMP_ON="$SMOKE_DIR/compartments_on_stats.json"
-CMP_OFF="$SMOKE_DIR/compartments_off_stats.json"
-timeout 300 ./target/release/fleetbench \
-  --quick --replicas 3 --attack-per-mille 0 --chaos-out "$CMP_ON"
-timeout 300 ./target/release/fleetbench \
-  --quick --replicas 3 --attack-per-mille 0 --no-compartments \
-  --chaos-out "$CMP_OFF"
-cmp "$CMP_ON" "$CMP_OFF" || {
-  echo "FleetStats changed when compartments were disabled on attack-free traffic" >&2
-  exit 1
-}
+# design, so the equivalence leg pins attack-per-mille 0.) Both voting
+# legs run: K=3, and K=1 with rejuvenation (which also takes the
+# replicated executor).
+for LEG in "--replicas 3" "--replicas 1 --rejuvenate-every 4"; do
+  CMP_ON="$SMOKE_DIR/compartments_on_stats.json"
+  CMP_OFF="$SMOKE_DIR/compartments_off_stats.json"
+  # shellcheck disable=SC2086 # $LEG is a flag list
+  timeout 300 ./target/release/fleetbench \
+    --quick $LEG --attack-per-mille 0 --chaos-out "$CMP_ON"
+  # shellcheck disable=SC2086
+  timeout 300 ./target/release/fleetbench \
+    --quick $LEG --attack-per-mille 0 --no-compartments \
+    --chaos-out "$CMP_OFF"
+  cmp "$CMP_ON" "$CMP_OFF" || {
+    echo "FleetStats changed ($LEG) when compartments were disabled on attack-free traffic" >&2
+    exit 1
+  }
+done
 
 echo "== static analysis: benign workloads lint clean"
 # Every shipped service must pass the CFI lint with zero findings —

@@ -48,6 +48,8 @@ pub use delta::{
     DeltaBackupEngine, DeltaConfig, DeltaConfigError, DeltaPageState, DeltaProcState, DeltaState,
     SealedCompartment,
 };
+/// A drained service response ([`IndraSystem::take_responses`]).
+pub use indra_os::Response;
 pub use monitor::{
     AppMetadata, InspectionPolicy, Monitor, MonitorAppState, MonitorConfig, MonitorState,
     MonitorStats, ShadowFrameState, SyscallSitePolicy, Violation, ViolationKind,

@@ -60,7 +60,7 @@ pub enum SchemeKind {
 }
 
 /// Full system configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Machine parameters (Table 4).
     pub machine: MachineConfig,

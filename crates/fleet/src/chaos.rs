@@ -288,12 +288,7 @@ pub fn plan_for_shard(chaos: &ChaosConfig, cfg: &FleetConfig, shard: usize) -> S
 /// must not spam stderr) while delegating every *real* panic to the
 /// previous hook.
 #[derive(Debug)]
-pub(crate) struct ChaosPanic {
-    /// Which shard the event targeted.
-    pub shard: usize,
-    /// Event family, for the supervisor's crash log.
-    pub what: &'static str,
-}
+pub(crate) struct ChaosPanic;
 
 /// Installs the [`ChaosPanic`]-filtering panic hook, once per process.
 pub(crate) fn install_chaos_panic_hook() {
@@ -308,24 +303,10 @@ pub(crate) fn install_chaos_panic_hook() {
     });
 }
 
-/// Renders a caught panic payload for the supervision log.
-pub(crate) fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(c) = payload.downcast_ref::<ChaosPanic>() {
-        format!("chaos {} (shard {})", c.what, c.shard)
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_owned()
-    }
-}
-
 /// One incarnation's view of the shard's chaos plan: the plan itself
 /// plus the *shared* one-shot trigger flags that survive revival.
 #[derive(Debug, Clone)]
 pub(crate) struct ChaosRuntime {
-    pub shard: usize,
     pub plan: Arc<ShardChaosPlan>,
     /// One flag per host event, shared across every incarnation of the
     /// shard so a revived trajectory never re-fires a one-shot fault.
@@ -339,14 +320,13 @@ pub(crate) struct ChaosRuntime {
 
 impl ChaosRuntime {
     pub fn new(
-        shard: usize,
         plan: Arc<ShardChaosPlan>,
         fired: Arc<Vec<AtomicBool>>,
         stall_ms: u64,
         wal_path: Option<PathBuf>,
     ) -> ChaosRuntime {
         debug_assert_eq!(plan.events.len(), fired.len());
-        ChaosRuntime { shard, plan, fired, stall_ms, wal_path }
+        ChaosRuntime { plan, fired, stall_ms, wal_path }
     }
 
     /// Fires every due, unfired host event. Kills and tears panic (the
@@ -360,14 +340,12 @@ impl ChaosRuntime {
                 continue;
             }
             match ev.kind {
-                HostEventKind::Kill => {
-                    std::panic::panic_any(ChaosPanic { shard: self.shard, what: "kill" })
-                }
+                HostEventKind::Kill => std::panic::panic_any(ChaosPanic),
                 HostEventKind::WalTear => {
                     if let Some(path) = &self.wal_path {
                         tear_wal_tail(path);
                     }
-                    std::panic::panic_any(ChaosPanic { shard: self.shard, what: "wal-tear" })
+                    std::panic::panic_any(ChaosPanic)
                 }
                 HostEventKind::Stall => {
                     let until = Instant::now() + Duration::from_millis(self.stall_ms);
@@ -395,7 +373,7 @@ impl ChaosRuntime {
     /// Panics with the poison payload — called by the shard loop when
     /// it is about to deliver the poison request.
     pub fn poison_strike(&self) -> ! {
-        std::panic::panic_any(ChaosPanic { shard: self.shard, what: "poison" })
+        std::panic::panic_any(ChaosPanic)
     }
 }
 

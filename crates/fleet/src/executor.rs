@@ -1,23 +1,16 @@
-//! The parallel fleet executor: one OS thread per shard, one channel
-//! into the aggregator.
+//! The parallel fleet executor: one OS thread per shard.
 //!
-//! Shards run under [`std::thread::scope`] so they may borrow the
-//! config; each sends [`ShardMsg`]s through an [`std::sync::mpsc`]
-//! channel. The aggregator (the calling thread) folds latency samples
-//! into a [`Histogram`] *while shards are still running* — arrival
-//! order varies with the OS scheduler, but histogram recording is
-//! commutative and per-shard summaries are slotted by shard index, so
-//! the final [`FleetStats`] is schedule-independent.
+//! Shards run under [`std::thread::scope`] ([`par_map`]) so they may
+//! borrow the config; their [`ShardOutput`]s come back in shard order,
+//! so the final [`FleetStats`] is schedule-independent.
 
-use std::sync::mpsc;
 use std::time::Instant;
 
 use indra_bench::Histogram;
 use indra_persist::SnapshotStore;
 
 use crate::persist::{encode_meta, RestoredShard};
-use crate::report::ShardHostPerf;
-use crate::shard::{run_shard_inner, ShardHarness, ShardMsg, ShardOutput};
+use crate::shard::{run_shard_inner, ShardHarness, ShardOutput};
 use crate::{FleetConfig, FleetReport, FleetStats};
 
 /// Runs the whole fleet and aggregates the result.
@@ -29,9 +22,7 @@ use crate::{FleetConfig, FleetReport, FleetStats};
 /// vanish from the aggregate).
 #[must_use]
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let mut fresh: Vec<Option<RestoredShard>> = Vec::new();
-    fresh.resize_with(cfg.shards, || None);
-    run_fleet_with(cfg, fresh)
+    run_fleet_with(cfg, (0..cfg.shards).map(|_| None).collect())
 }
 
 /// [`run_fleet`], with some shards thawed from checkpoints (`None`
@@ -54,71 +45,47 @@ pub(crate) fn run_fleet_with(
         }
     }
 
-    let mut outputs: Vec<Option<ShardOutput>> = Vec::new();
-    outputs.resize_with(cfg.shards, || None);
-    let mut latency = Histogram::new();
-
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<ShardMsg>();
-        for (plan, thawed) in plans.into_iter().zip(restored) {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let shard = plan.shard;
-                run_shard_inner(cfg, plan, thawed, ShardHarness::default(), |msg| {
-                    // The aggregator outlives every shard; a send can
-                    // only fail if it panicked, and then the scope is
-                    // already unwinding.
-                    let _ = tx.send(msg);
-                })
-                .unwrap_or_else(|e| panic!("shard {shard}: {e}"));
-            });
-        }
-        drop(tx);
-        // Live aggregation: the loop ends once every shard has dropped
-        // its sender (i.e. finished).
-        for msg in rx {
-            match msg {
-                ShardMsg::Sample(s) => latency.record(s.cycles),
-                ShardMsg::Beat(_) => {} // heartbeats matter only under supervision
-                ShardMsg::Done(out) => {
-                    let slot = out.plan.shard;
-                    outputs[slot] = Some(*out);
-                }
-            }
-        }
+    let outputs = par_map(plans.into_iter().zip(restored), |(plan, thawed)| {
+        let shard = plan.shard;
+        run_shard_inner(cfg, plan, thawed, ShardHarness::default(), |_| {})
+            .unwrap_or_else(|e| panic!("shard {shard}: {e}"))
+            .expect("an uncancellable shard always reports")
     });
+    FleetReport::from_outputs(&outputs, started)
+}
 
-    let outputs: Vec<ShardOutput> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(i, o)| o.unwrap_or_else(|| panic!("shard {i} never reported")))
-        .collect();
-    let stats = aggregate_stats(&outputs, latency);
-    let shard_host = outputs
-        .iter()
-        .map(|o| ShardHostPerf {
-            shard: o.plan.shard,
-            insns: o.insns,
-            wall_seconds: o.wall_seconds,
-            superblocks: o.superblocks,
-            predecode: o.predecode,
-            wal_bytes: o.wal.bytes,
-            wal_pages: o.wal.pages,
-        })
-        .collect();
-
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let wall_req_per_sec =
-        if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
-    FleetReport { stats, wall_seconds, wall_req_per_sec, shard_host, supervision: None }
+/// Runs `work` on every input in a scoped thread of its own and returns
+/// the results in input order; a worker's panic propagates to the
+/// caller once every worker has finished.
+pub fn par_map<I: Send, T: Send>(
+    inputs: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            inputs.into_iter().map(|input| scope.spawn(move || work(input))).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// Folds shard outputs (already in shard order) into fleet-wide
-/// [`FleetStats`]. Public because the service daemon (`indra-serve`)
-/// aggregates its live and replayed shards through the exact same fold
-/// — byte-identity of the two paths depends on sharing this code.
+/// [`FleetStats`], the latency digest included (recorded from every
+/// served request of the final reports). Public because the replica
+/// runner and the service daemon (`indra-serve`) aggregate their live
+/// and replayed shards through the exact same fold — byte-identity of
+/// those paths depends on sharing this code.
 #[must_use]
-pub fn aggregate_stats(outputs: &[ShardOutput], latency: Histogram) -> FleetStats {
+pub fn aggregate_stats(outputs: &[ShardOutput]) -> FleetStats {
+    let mut latency = Histogram::new();
+    for out in outputs {
+        for s in &out.report.samples {
+            latency.record(s.cycles);
+        }
+    }
     let per_shard: Vec<_> = outputs.iter().map(ShardOutput::summary).collect();
     let sum = |f: fn(&crate::ShardSummary) -> u64| per_shard.iter().map(f).sum::<u64>();
     let served = sum(|s| s.served);

@@ -10,12 +10,17 @@
 //! requests with a configurable fraction of real exploit payloads),
 //! optionally under periodic hardware-fault injection.
 //!
-//! Per-request latency samples stream over a channel to an aggregator
-//! that folds them into a log-bucketed [`indra_bench::Histogram`] and
-//! produces a fleet-wide [`FleetReport`]: throughput (requests per
-//! million simulated cycles and wall-clock requests per second),
-//! benign-service ratio, detection and recovery counts, and latency
-//! percentiles.
+//! Every executor in the workspace — this crate's open-loop shards,
+//! the replica cells and the `fleetd` workers — builds, drives and
+//! accounts one cell through the same [`Engine`], configured by one
+//! [`EngineConfig`] ([`FleetConfig::engine`] is the only projection of
+//! fleet knobs onto it).
+//!
+//! Shard outputs fold (in shard order) into a fleet-wide
+//! [`FleetReport`]: throughput (requests per million simulated cycles
+//! and wall-clock requests per second), benign-service ratio,
+//! detection and recovery counts, and latency percentiles from a
+//! log-bucketed [`indra_bench::Histogram`] over every served request.
 //!
 //! ## Determinism contract
 //!
@@ -23,7 +28,7 @@
 //! traffic comes from a seed derived with
 //! [`indra_rng::derive_seed`]`(fleet_seed, shard_index)`; shards never
 //! share simulated state; the aggregator folds shard summaries in shard
-//! index order and histogram merging is commutative. Run the same
+//! index order and histogram recording is commutative. Run the same
 //! config on 1 thread or 16, today or tomorrow — `stats` (and its JSON)
 //! is byte-identical. Wall-clock figures live outside `stats` in
 //! [`FleetReport`].
@@ -37,6 +42,7 @@
 //! ```
 
 mod chaos;
+mod engine;
 mod executor;
 mod persist;
 mod report;
@@ -47,18 +53,18 @@ pub mod sweep;
 pub use chaos::{
     plan_for_shard, ChaosConfig, GuestBurst, HostEvent, HostEventKind, ShardChaosPlan, StealthEvent,
 };
-pub use executor::{aggregate_stats, run_fleet};
-pub use persist::{resume_fleet, RestoredShard, ShardProgress};
+pub use engine::{CellVerdict, Engine, EngineConfig};
+pub use executor::{aggregate_stats, par_map, run_fleet};
+pub use persist::{
+    decode_engine_meta, encode_engine_meta, resume_fleet, RestoredShard, ScratchDir, ShardProgress,
+};
 pub use report::{
     FleetReport, FleetStats, ShardHostPerf, ShardSummary, ShardSupervision, SupervisionStats,
 };
-pub use shard::{
-    run_shard, shard_schedule, BeatMsg, SampleMsg, ShardError, ShardMsg, ShardOutput, ShardPlan,
-};
+pub use shard::{shard_engine, shard_schedule, BeatMsg, ShardError, ShardOutput, ShardPlan};
 pub use supervisor::{run_fleet_supervised, SupervisorConfig};
 
 use indra_core::SchemeKind;
-use indra_rng::derive_seed;
 use indra_workloads::ServiceApp;
 
 /// Everything that determines a fleet run.
@@ -94,7 +100,8 @@ pub struct FleetConfig {
     /// (`None` = no fault injection).
     pub fault_every: Option<u32>,
     /// Instruction-budget granularity of the run loop; smaller slices
-    /// stream samples sooner at more scheduling overhead.
+    /// check heartbeats, checkpoints and arrivals more often at more
+    /// scheduling overhead.
     pub run_slice_steps: u64,
     /// Include the dormant-pointer attack in the mix. Off by default:
     /// dormant plants are (by design) detected only when a *later*
@@ -183,17 +190,32 @@ impl FleetConfig {
     #[must_use]
     pub fn plan(&self, shard: usize) -> ShardPlan {
         assert!(!self.apps.is_empty(), "fleet needs at least one app");
-        ShardPlan {
-            shard,
-            app: self.apps[shard % self.apps.len()],
-            seed: derive_seed(self.seed, shard as u64),
-        }
+        self.engine(self.apps[shard % self.apps.len()]).plan(shard)
     }
 
     /// Plans for every shard, in shard order.
     #[must_use]
     pub fn plans(&self) -> Vec<ShardPlan> {
         (0..self.shards).map(|s| self.plan(s)).collect()
+    }
+
+    /// The engine knobs of a shard running `app` — the only mapping
+    /// from fleet knobs to engine knobs, shared by the open-loop
+    /// shards and the replica cells.
+    #[must_use]
+    pub fn engine(&self, app: ServiceApp) -> EngineConfig {
+        EngineConfig {
+            app,
+            scale: self.scale,
+            scheme: self.scheme,
+            fifo_entries: self.fifo_entries,
+            cam_entries: self.cam_entries,
+            fast_paths: self.fast_paths,
+            run_slice_steps: self.run_slice_steps,
+            seed: self.seed,
+            superblocks: self.superblocks,
+            compartments: self.compartments,
+        }
     }
 }
 

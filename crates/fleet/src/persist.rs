@@ -8,7 +8,8 @@
 //! * `fleet.meta` — the [`FleetConfig`] that produced the run, so
 //!   `--resume <dir>` needs no other flags. Determinism makes this
 //!   sufficient: the schedule, images and seeds are all pure functions
-//!   of the config.
+//!   of the config. Its engine knobs go through the same knob block as
+//!   the service daemon's `serve.meta` ([`encode_engine_meta`]).
 //! * a per-shard progress blob (stored opaquely alongside each
 //!   snapshot) carrying the harness-side loop variables that live
 //!   outside the simulated system: the schedule cursor, the
@@ -20,18 +21,61 @@
 //! determinism) and runs the fleet to the original quota. The stats of
 //! a killed-and-resumed run are byte-identical to an uninterrupted one.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use indra_core::{SchemeKind, SystemState};
 use indra_persist::{PersistError, SnapshotStore, WireReader, WireWriter};
 use indra_workloads::ServiceApp;
 
 use crate::executor::run_fleet_with;
-use crate::{FleetConfig, FleetReport};
+use crate::{EngineConfig, FleetConfig, FleetReport};
+
+/// A store directory one run created for itself and removes when
+/// dropped, so no two runs (same-seed concurrent ones included) ever
+/// share checkpoints.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates `indra-{label}-{pid}-{n}` in the temp dir with
+    /// `create_dir`, `n` a process-wide counter; a taken name is
+    /// skipped, never adopted.
+    ///
+    /// # Errors
+    ///
+    /// Any creation failure other than the name being taken.
+    pub fn create(label: &str) -> std::io::Result<ScratchDir> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("indra-{label}-{}-{n}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            match std::fs::create_dir(&dir) {
+                Ok(()) => return Ok(ScratchDir(dir)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The directory.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Harness-side loop state of one shard at a checkpoint boundary —
-/// everything `run_shard` tracks outside the simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// everything the open-loop shard loop tracks outside the simulated
+/// system.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardProgress {
     /// Schedule entries already consumed (delivered into the system).
     pub cursor: u64,
@@ -89,6 +133,13 @@ fn app_tag(app: ServiceApp) -> u8 {
     ServiceApp::ALL.iter().position(|&a| a == app).expect("app in ALL") as u8
 }
 
+fn app_from_tag(tag: u8) -> Result<ServiceApp, PersistError> {
+    ServiceApp::ALL
+        .get(usize::from(tag))
+        .copied()
+        .ok_or(PersistError::Corrupt { context: "unknown service app" })
+}
+
 fn scheme_tag(scheme: SchemeKind) -> u8 {
     match scheme {
         SchemeKind::None => 0,
@@ -110,68 +161,109 @@ fn scheme_from_tag(tag: u8) -> Result<SchemeKind, PersistError> {
     })
 }
 
+/// The knob block `fleet.meta` and `serve.meta` share: every engine
+/// knob except the app and the seed, which each file stores its own way.
+fn write_knobs(w: &mut WireWriter, e: &EngineConfig) {
+    w.u32(e.scale);
+    w.u8(scheme_tag(e.scheme));
+    w.usize(e.fifo_entries);
+    w.usize(e.cam_entries);
+    w.bool(e.fast_paths);
+    w.u64(e.run_slice_steps);
+    w.bool(e.superblocks);
+    w.bool(e.compartments);
+}
+
+/// Reads the knob block into `base` (whose app and seed are kept).
+fn read_knobs(r: &mut WireReader<'_>, base: EngineConfig) -> Result<EngineConfig, PersistError> {
+    Ok(EngineConfig {
+        scale: r.u32("meta scale")?,
+        scheme: scheme_from_tag(r.u8("meta scheme")?)?,
+        fifo_entries: r.usize("meta fifo")?,
+        cam_entries: r.usize("meta cam")?,
+        fast_paths: r.bool("meta fast paths")?,
+        run_slice_steps: r.u64("meta slice")?,
+        superblocks: r.bool("meta superblocks")?,
+        compartments: r.bool("meta compartments")?,
+        ..base
+    })
+}
+
+/// Serializes an [`EngineConfig`] for `serve.meta`: app, seed, then
+/// the shared knob block.
+#[must_use]
+pub fn encode_engine_meta(cfg: &EngineConfig) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(app_tag(cfg.app));
+    w.u64(cfg.seed);
+    write_knobs(&mut w, cfg);
+    w.finish()
+}
+
+/// Deserializes `serve.meta` back into an [`EngineConfig`].
+///
+/// # Errors
+///
+/// Typed [`PersistError`] on truncation, trailing bytes or unknown tags.
+pub fn decode_engine_meta(bytes: &[u8]) -> Result<EngineConfig, PersistError> {
+    let mut r = WireReader::new(bytes);
+    let app = app_from_tag(r.u8("serve meta app")?)?;
+    let seed = r.u64("serve meta seed")?;
+    let cfg = read_knobs(&mut r, EngineConfig { app, seed, ..EngineConfig::default() })?;
+    r.expect_exhausted("serve meta trailing bytes")?;
+    Ok(cfg)
+}
+
 /// Serializes the deterministic portion of a [`FleetConfig`] for
-/// `fleet.meta`. `store_dir` and `halt_after_checkpoints` are excluded
-/// on purpose: the first is supplied by `--resume <dir>` itself, the
+/// `fleet.meta`: the shared engine knob block, then the fleet's own
+/// knobs. `store_dir` and `halt_after_checkpoints` are excluded on
+/// purpose: the first is supplied by `--resume <dir>` itself, the
 /// second is a crash-simulation knob that must not survive a resume.
 pub(crate) fn encode_meta(cfg: &FleetConfig) -> Vec<u8> {
     let mut w = WireWriter::new();
+    write_knobs(&mut w, &cfg.engine(cfg.plan(0).app));
     w.usize(cfg.shards);
     w.seq(cfg.apps.len());
     for &app in &cfg.apps {
         w.u8(app_tag(app));
     }
     w.u32(cfg.requests_per_shard);
-    w.u32(cfg.scale);
     w.u32(cfg.attack_per_mille);
     w.u64(cfg.mean_gap_cycles);
     w.u64(cfg.seed);
-    w.u8(scheme_tag(cfg.scheme));
-    w.usize(cfg.fifo_entries);
-    w.usize(cfg.cam_entries);
     w.opt_u32(cfg.fault_every);
-    w.u64(cfg.run_slice_steps);
     w.bool(cfg.include_dormant_attacks);
     w.u32(cfg.checkpoint_every);
-    w.bool(cfg.fast_paths);
-    w.bool(cfg.superblocks);
-    w.bool(cfg.compartments);
     w.finish()
 }
 
 pub(crate) fn decode_meta(bytes: &[u8]) -> Result<FleetConfig, PersistError> {
     let mut r = WireReader::new(bytes);
+    let e = read_knobs(&mut r, EngineConfig::default())?;
     let shards = r.usize("meta shards")?;
-    let n = r.seq(1, "meta apps")?;
-    let mut apps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = r.u8("meta app")? as usize;
-        apps.push(
-            *ServiceApp::ALL
-                .get(tag)
-                .ok_or(PersistError::Corrupt { context: "unknown service app" })?,
-        );
-    }
+    let apps = (0..r.seq(1, "meta apps")?)
+        .map(|_| app_from_tag(r.u8("meta app")?))
+        .collect::<Result<Vec<_>, _>>()?;
     let cfg = FleetConfig {
         shards,
         apps,
         requests_per_shard: r.u32("meta requests")?,
-        scale: r.u32("meta scale")?,
         attack_per_mille: r.u32("meta attack rate")?,
         mean_gap_cycles: r.u64("meta gap")?,
         seed: r.u64("meta seed")?,
-        scheme: scheme_from_tag(r.u8("meta scheme")?)?,
-        fifo_entries: r.usize("meta fifo")?,
-        cam_entries: r.usize("meta cam")?,
         fault_every: r.opt_u32("meta fault every")?,
-        run_slice_steps: r.u64("meta slice")?,
         include_dormant_attacks: r.bool("meta dormant")?,
         checkpoint_every: r.u32("meta ckpt every")?,
+        scale: e.scale,
+        scheme: e.scheme,
+        fifo_entries: e.fifo_entries,
+        cam_entries: e.cam_entries,
+        run_slice_steps: e.run_slice_steps,
+        fast_paths: e.fast_paths,
+        superblocks: e.superblocks,
+        compartments: e.compartments,
         store_dir: None,
         halt_after_checkpoints: None,
-        fast_paths: r.bool("meta fast paths")?,
-        superblocks: r.bool("meta superblocks")?,
-        compartments: r.bool("meta compartments")?,
         shutdown: None,
     };
     r.expect_exhausted("meta trailing bytes")?;
@@ -205,17 +297,19 @@ pub fn resume_fleet(dir: impl AsRef<Path>) -> Result<FleetReport, PersistError> 
     let mut cfg = decode_meta(&store.read_meta()?)?;
     cfg.store_dir = Some(dir.to_string_lossy().into_owned());
 
-    let mut restored: Vec<Option<RestoredShard>> = Vec::new();
-    for shard in 0..cfg.shards {
-        restored.push(match store.load_shard(shard)? {
-            Some(loaded) => Some(RestoredShard {
-                state: loaded.state,
-                progress: decode_progress(&loaded.progress)?,
-            }),
-            None => None,
-        });
-    }
-    Ok(run_fleet_with(&cfg, restored))
+    let restored = (0..cfg.shards).map(|shard| load_restored(&store, shard));
+    Ok(run_fleet_with(&cfg, restored.collect::<Result<_, _>>()?))
+}
+
+/// Shard `shard`'s last valid checkpoint with its decoded progress
+/// (`None` when it never checkpointed).
+pub(crate) fn load_restored(
+    store: &SnapshotStore,
+    shard: usize,
+) -> Result<Option<RestoredShard>, PersistError> {
+    let Some(loaded) = store.load_shard(shard)? else { return Ok(None) };
+    let progress = decode_progress(&loaded.progress)?;
+    Ok(Some(RestoredShard { state: loaded.state, progress }))
 }
 
 #[cfg(test)]

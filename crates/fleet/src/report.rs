@@ -8,9 +8,13 @@
 //! (which *do* vary run to run) are quarantined in the outer
 //! [`FleetReport`] so determinism stays assertable.
 
+use std::time::Instant;
+
 use indra_bench::HistogramSummary;
 use indra_core::json::{json_array, JsonObject};
 use indra_workloads::ServiceApp;
+
+use crate::{aggregate_stats, ShardOutput};
 
 /// One shard's contribution to the fleet aggregate.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,6 +175,20 @@ pub struct ShardHostPerf {
     pub wal_pages: u64,
 }
 
+impl From<&ShardOutput> for ShardHostPerf {
+    fn from(o: &ShardOutput) -> ShardHostPerf {
+        ShardHostPerf {
+            shard: o.plan.shard,
+            insns: o.insns,
+            wall_seconds: o.wall_seconds,
+            superblocks: o.superblocks,
+            predecode: o.predecode,
+            wal_bytes: o.wal.bytes,
+            wal_pages: o.wal.pages,
+        }
+    }
+}
+
 impl ShardHostPerf {
     /// Host MIPS (million simulated instructions per wall second).
     #[must_use]
@@ -240,7 +258,7 @@ impl ShardHostPerf {
 
 /// One shard's view of the supervision run: how often it died, how it
 /// died, and what the supervisor did about it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardSupervision {
     /// Shard index.
     pub shard: usize,
@@ -334,6 +352,31 @@ pub struct SupervisionStats {
 }
 
 impl SupervisionStats {
+    /// Fleet totals over the per-shard rows (in shard order). The
+    /// executor-specific figures start neutral — no chaos events,
+    /// availability 1.0, no revival time — for the caller to fill in.
+    #[must_use]
+    pub fn from_shards(per_shard: Vec<ShardSupervision>) -> SupervisionStats {
+        let sum = |f: fn(&ShardSupervision) -> u32| {
+            per_shard.iter().map(|s| u64::from(f(s))).sum::<u64>()
+        };
+        SupervisionStats {
+            revivals: sum(|s| s.revivals),
+            crashes: sum(|s| s.crashes),
+            hangs: sum(|s| s.hangs),
+            harness_errors: sum(|s| s.harness_errors),
+            chaos_host_events: 0,
+            quarantined_requests: per_shard.iter().map(|s| s.quarantined.len() as u64).sum(),
+            abandoned_shards: per_shard.iter().filter(|s| s.abandoned).count() as u64,
+            availability: 1.0,
+            mean_time_to_revive_ms: 0.0,
+            divergences: sum(|s| s.divergences),
+            divergent_masked: sum(|s| s.divergent_masked),
+            rejuvenations: sum(|s| s.rejuvenations),
+            per_shard,
+        }
+    }
+
     /// JSON with fixed field order.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -390,12 +433,26 @@ pub struct FleetReport {
     /// Per-shard host MIPS rows, in shard order (wall-clock data —
     /// deliberately outside `stats`).
     pub shard_host: Vec<ShardHostPerf>,
-    /// Supervision outcome — `Some` only for
-    /// [`crate::run_fleet_supervised`] runs.
+    /// Supervision outcome — `Some` only for supervised and replicated
+    /// runs.
     pub supervision: Option<SupervisionStats>,
 }
 
 impl FleetReport {
+    /// The report of a run that started at `started` and produced
+    /// `outputs` (in shard order): folded stats, per-shard host rows and
+    /// wall clock. `supervision` is left for the supervising executors
+    /// to fill in.
+    #[must_use]
+    pub fn from_outputs(outputs: &[ShardOutput], started: Instant) -> FleetReport {
+        let stats = aggregate_stats(outputs);
+        let shard_host = outputs.iter().map(ShardHostPerf::from).collect();
+        let wall_seconds = started.elapsed().as_secs_f64();
+        let wall_req_per_sec =
+            if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
+        FleetReport { stats, wall_seconds, wall_req_per_sec, shard_host, supervision: None }
+    }
+
     /// Fleet-wide host MIPS: every shard's instructions over the whole
     /// run's wall clock.
     #[must_use]

@@ -13,14 +13,15 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use indra_core::{IndraSystem, RunReport, RunState, SystemConfig};
+use indra_core::{IndraSystem, RunReport, RunState};
 use indra_persist::{CheckpointReceipt, PersistError, SnapshotStore};
 use indra_workloads::{
     build_app_scaled, detectable_attack_suite, standard_attack_suite, OpenLoopTraffic,
-    ScheduleCursor, ServiceApp, TimedRequest, WorkloadSpec,
+    ScheduleCursor, ServiceApp, TimedRequest,
 };
 
 use crate::chaos::ChaosRuntime;
+use crate::engine::Engine;
 use crate::persist::{encode_progress, RestoredShard, ShardProgress};
 use crate::{FleetConfig, ShardSummary};
 
@@ -65,7 +66,7 @@ pub(crate) const NOT_DELIVERING: u64 = u64::MAX;
 pub(crate) struct ShardHarness {
     /// Cooperative cancellation for this incarnation: checked at every
     /// run-slice boundary (and inside chaos stalls); when raised the
-    /// loop returns quietly without emitting [`ShardMsg::Done`].
+    /// loop returns quietly without an output.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Quarantined schedule indices — consumed but never delivered.
     pub quarantined: Vec<u64>,
@@ -102,7 +103,7 @@ pub struct ShardPlan {
 }
 
 /// What one shard hands the aggregator when it finishes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShardOutput {
     /// The plan that produced this output.
     pub plan: ShardPlan,
@@ -179,16 +180,6 @@ impl ShardOutput {
     }
 }
 
-/// A per-request latency observation streamed to the aggregator while
-/// the shard is still running.
-#[derive(Debug, Clone, Copy)]
-pub struct SampleMsg {
-    /// Originating shard.
-    pub shard: usize,
-    /// Delivery-to-response resurrectee cycles.
-    pub cycles: u64,
-}
-
 /// A progress heartbeat: emitted at every run-slice boundary so a
 /// supervisor can tell a slow shard from a hung one.
 #[derive(Debug, Clone, Copy)]
@@ -199,17 +190,6 @@ pub struct BeatMsg {
     pub cursor: u64,
     /// Requests served so far.
     pub served: u64,
-}
-
-/// Messages a shard sends over the aggregation channel.
-#[derive(Debug)]
-pub enum ShardMsg {
-    /// A served request's latency (streamed as it happens).
-    Sample(SampleMsg),
-    /// A run-slice-boundary heartbeat (ignored by the plain executor).
-    Beat(BeatMsg),
-    /// The shard finished (or gave up); terminal message.
-    Done(Box<ShardOutput>),
 }
 
 /// Builds the deterministic traffic schedule for `plan`.
@@ -231,83 +211,50 @@ pub fn shard_schedule(cfg: &FleetConfig, plan: &ShardPlan) -> Vec<TimedRequest> 
     .generate(&image)
 }
 
-/// Runs one shard to completion, streaming samples through `emit`.
+/// Builds the engine shard `plan` runs: the fleet knobs projected
+/// through [`FleetConfig::engine`] for the plan's service.
 ///
-/// `emit` receives every served request's latency as it is observed;
-/// the terminal [`ShardOutput`] still carries the authoritative
-/// [`RunReport`] so the aggregator never depends on delivery order.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics when the harness itself fails (deploy or checkpoint-store
-/// errors) — use the supervised executor for typed handling.
-pub fn run_shard(cfg: &FleetConfig, plan: ShardPlan, emit: impl FnMut(ShardMsg)) {
-    let shard = plan.shard;
-    run_shard_inner(cfg, plan, None, ShardHarness::default(), emit)
-        .unwrap_or_else(|e| panic!("shard {shard}: {e}"));
+/// [`ShardError::Deploy`] when the service image fails to load.
+pub fn shard_engine(cfg: &FleetConfig, plan: &ShardPlan) -> Result<Engine, ShardError> {
+    Engine::new(&cfg.engine(plan.app))
 }
 
-/// The shard loop, optionally thawed from a checkpoint.
+/// The open-loop shard loop, optionally thawed from a checkpoint.
+/// Returns `None` when the incarnation was cancelled (a newer one owns
+/// the result); `beat` receives a heartbeat at every run-slice boundary.
 ///
-/// A `restored` shard rebuilds the same system (same config, same
+/// A `restored` shard rebuilds the same engine (same config, same
 /// deployed image — both pure functions of the plan), overwrites its
 /// state with the frozen capture and re-enters the loop with the saved
 /// harness cursors; from there execution is cycle-for-cycle identical
-/// to the run that was killed. Samples already in the restored report
-/// are re-streamed so a fresh aggregator sees the complete history.
+/// to the run that was killed.
 pub(crate) fn run_shard_inner(
     cfg: &FleetConfig,
     plan: ShardPlan,
     restored: Option<RestoredShard>,
     harness: ShardHarness,
-    mut emit: impl FnMut(ShardMsg),
-) -> Result<(), ShardError> {
-    let started = std::time::Instant::now();
-    let image = build_app_scaled(plan.app, cfg.scale);
+    mut beat: impl FnMut(BeatMsg),
+) -> Result<Option<ShardOutput>, ShardError> {
+    // The schedule first: its scratch allocations are freed before the
+    // engine's system takes up residence, keeping peak memory down.
     let schedule = shard_schedule(cfg, &plan);
-    let benign_sent = schedule.iter().filter(|r| !r.malicious).count() as u64;
-    let attacks_sent = schedule.len() as u64 - benign_sent;
-    let schedule_len = schedule.len() as u64;
-
-    let sys_cfg = SystemConfig {
-        machine: indra_sim::MachineConfig {
-            fifo_entries: cfg.fifo_entries,
-            cam_entries: cfg.cam_entries,
-            fast_paths: cfg.fast_paths,
-            superblocks: cfg.superblocks,
-            ..indra_sim::MachineConfig::default()
-        },
-        scheme: cfg.scheme,
-        monitoring: true,
-        compartments: cfg.compartments,
-        ..SystemConfig::default()
-    };
-    let mut sys = IndraSystem::new(sys_cfg);
-    sys.deploy(&image).map_err(ShardError::Deploy)?;
+    let mut engine = shard_engine(cfg, &plan)?;
+    let sent: Vec<bool> = schedule.iter().map(|r| r.malicious).collect();
+    // Unlike the closed-loop per-request budget, the open-loop shard
+    // draws one budget for its whole schedule.
+    let steps_left = engine.config().per_request_steps() * (schedule.len() as u64 + 4) * 8;
+    let sys = engine.system_mut();
     let core = sys.service_cores()[0];
 
-    // Budget: generous multiple of the workload's nominal per-request
-    // work — recoveries and restarts all fit; only a harness bug (or an
-    // undetected kill) exhausts it.
-    let per_request = WorkloadSpec::for_app(plan.app)
-        .scaled_down(cfg.scale.max(1))
-        .approx_insns_per_request()
-        .max(50_000);
-    let mut steps_left = per_request * (schedule_len + 4) * 8;
-
+    // The harness loop state lives in its checkpointed form throughout.
     let mut queue = ScheduleCursor::new(schedule, harness.quarantined.clone());
-    let mut faults_injected = 0u64;
-    let mut served_at_last_fault = 0u64;
-    let mut served_at_last_ckpt = 0u64;
-    let mut chaos_cursor = 0u64;
+    let mut p = ShardProgress { steps_left, ..ShardProgress::default() };
     if let Some(r) = &restored {
         sys.restore_state(&r.state);
         queue.seek(r.progress.cursor);
-        faults_injected = r.progress.faults_injected;
-        served_at_last_fault = r.progress.served_at_last_fault;
-        steps_left = r.progress.steps_left;
-        served_at_last_ckpt = r.progress.served_at_last_ckpt;
-        chaos_cursor = r.progress.chaos_cursor;
+        p = r.progress;
     }
 
     let mut writer = match (&cfg.store_dir, cfg.checkpoint_every) {
@@ -319,20 +266,14 @@ pub(crate) fn run_shard_inner(
     };
     let mut ckpts_written = 0u64;
     let mut wal = CheckpointReceipt::default();
-
-    // Starts at zero even when restored: samples already in the thawed
-    // report are re-streamed so a fresh aggregator sees the complete
-    // history (the supervisor ignores the stream and rebuilds from the
-    // final report instead, so it never double-counts).
-    let mut sample_cursor = 0usize;
     let mut completed = true;
 
     loop {
         // Cooperative cancellation: the supervisor revoked this
         // incarnation (hang recovery, or end-of-run cleanup). Exit
-        // without a Done — a newer incarnation owns the result.
+        // without an output — a newer incarnation owns the result.
         if harness.cancelled() {
-            return Ok(());
+            return Ok(None);
         }
 
         // Graceful shutdown (signal handler raised the flag): stop at
@@ -346,18 +287,14 @@ pub(crate) fn run_shard_inner(
         }
 
         // Heartbeat at every run-slice boundary.
-        emit(ShardMsg::Beat(BeatMsg {
-            shard: plan.shard,
-            cursor: queue.consumed(),
-            served: sys.report().served,
-        }));
+        beat(BeatMsg { shard: plan.shard, cursor: queue.consumed(), served: sys.report().served });
 
         // Host-level chaos: kills and journal tears panic out of here
         // (the supervisor's catch_unwind picks them up); a stall just
         // burns wall clock until the heartbeat deadline trips.
         if let Some(chaos) = &harness.chaos {
             if chaos.fire_host(sys.report().served, harness.cancel.as_ref()) {
-                return Ok(()); // cancelled mid-stall
+                return Ok(None); // cancelled mid-stall
             }
         }
 
@@ -365,15 +302,15 @@ pub(crate) fn run_shard_inner(
         // is persisted, so a revival replays them at the same point.
         if let Some(chaos) = &harness.chaos {
             let served = sys.report().served;
-            while let Some(b) = chaos.plan.bursts.get(chaos_cursor as usize) {
+            while let Some(b) = chaos.plan.bursts.get(p.chaos_cursor as usize) {
                 if served < b.at_served {
                     break;
                 }
                 for _ in 0..b.faults {
                     sys.inject_fault(core);
                 }
-                faults_injected += u64::from(b.faults);
-                chaos_cursor += 1;
+                p.faults_injected += u64::from(b.faults);
+                p.chaos_cursor += 1;
             }
         }
 
@@ -389,17 +326,10 @@ pub(crate) fn run_shard_inner(
         // unchekpointed one; only wall-clock pays for the file writes.
         if let Some(w) = writer.as_mut() {
             let served = sys.report().served;
-            if served.saturating_sub(served_at_last_ckpt) >= u64::from(cfg.checkpoint_every) {
-                served_at_last_ckpt = served;
-                let progress = ShardProgress {
-                    cursor: queue.consumed(),
-                    faults_injected,
-                    served_at_last_fault,
-                    steps_left,
-                    served_at_last_ckpt,
-                    chaos_cursor,
-                };
-                wal.absorb(w.checkpoint(&sys.freeze(), &encode_progress(&progress))?);
+            if served.saturating_sub(p.served_at_last_ckpt) >= u64::from(cfg.checkpoint_every) {
+                p.served_at_last_ckpt = served;
+                p.cursor = queue.consumed();
+                wal.absorb(w.checkpoint(&sys.freeze(), &encode_progress(&p))?);
                 ckpts_written += 1;
                 if cfg.halt_after_checkpoints.is_some_and(|halt| ckpts_written >= halt) {
                     // Simulated crash: die between two slices, exactly
@@ -421,27 +351,20 @@ pub(crate) fn run_shard_inner(
             if queue.peek().is_none_or(|r| r.arrival_cycle > now) {
                 break;
             }
-            deliver_next(&mut queue, &mut sys, &harness);
+            deliver_next(&mut queue, sys, &harness);
             delivered = true;
         }
 
-        let state = sys.run(cfg.run_slice_steps.min(steps_left.max(1)));
-        steps_left = steps_left.saturating_sub(cfg.run_slice_steps);
-
-        // Stream freshly completed samples.
-        while sample_cursor < sys.report().samples.len() {
-            let s = sys.report().samples[sample_cursor];
-            emit(ShardMsg::Sample(SampleMsg { shard: plan.shard, cycles: s.cycles }));
-            sample_cursor += 1;
-        }
+        let state = sys.run(cfg.run_slice_steps.min(p.steps_left.max(1)));
+        p.steps_left = p.steps_left.saturating_sub(cfg.run_slice_steps);
 
         // Optional rejuvenation-under-fault pressure.
         if let Some(every) = cfg.fault_every {
             let served = sys.report().served;
-            if every > 0 && served.saturating_sub(served_at_last_fault) >= u64::from(every) {
+            if every > 0 && served.saturating_sub(p.served_at_last_fault) >= u64::from(every) {
                 sys.inject_fault(core);
-                faults_injected += 1;
-                served_at_last_fault = served;
+                p.faults_injected += 1;
+                p.served_at_last_fault = served;
             }
         }
 
@@ -454,7 +377,7 @@ pub(crate) fn run_shard_inner(
                     // The service outpaced the arrival process: the next
                     // client's clock becomes "now" (idle sim cores cannot
                     // burn cycles waiting, so the gap collapses).
-                    Some(_) if !delivered => deliver_next(&mut queue, &mut sys, &harness),
+                    Some(_) if !delivered => deliver_next(&mut queue, sys, &harness),
                     Some(_) => {}
                     None => break,
                 }
@@ -465,7 +388,7 @@ pub(crate) fn run_shard_inner(
                 break;
             }
             RunState::BudgetExhausted => {
-                if steps_left == 0 {
+                if p.steps_left == 0 {
                     completed = false;
                     break;
                 }
@@ -474,30 +397,7 @@ pub(crate) fn run_shard_inner(
     }
 
     let completed = completed && queue.peek().is_none();
-    let machine = sys.machine();
-    let insns = (0..machine.num_cores()).map(|c| machine.core(c).retired()).sum();
-    let mut superblocks = indra_sim::SuperblockStats::default();
-    let mut predecode = indra_sim::PredecodeStats::default();
-    for c in 0..machine.num_cores() {
-        superblocks += machine.superblock_stats(c);
-        predecode += machine.predecode_stats(c);
-    }
-    let output = ShardOutput {
-        sim_cycles: sys.service_cycles(),
-        report: sys.report().clone(),
-        benign_sent,
-        attacks_sent,
-        faults_injected,
-        completed,
-        insns,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        superblocks,
-        predecode,
-        wal,
-        plan,
-    };
-    emit(ShardMsg::Done(Box::new(output)));
-    Ok(())
+    Ok(Some(engine.output(plan, sent, p.faults_injected, completed, wal)))
 }
 
 /// Consumes and delivers the schedule head (which the caller has

@@ -27,9 +27,8 @@
 //! index is quarantined — the next incarnation consumes it without
 //! delivery and the fleet keeps its availability instead of crash-looping.
 //!
-//! The deterministic aggregate is rebuilt from each shard's *final*
-//! report (the live sample stream is ignored — revived incarnations
-//! re-stream history), so a kill-and-revive run yields byte-identical
+//! The deterministic aggregate is folded from each shard's *final*
+//! report, so a kill-and-revive run yields byte-identical
 //! [`crate::FleetStats`] to an undisturbed one.
 
 use std::collections::BTreeSet;
@@ -39,20 +38,15 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use indra_bench::Histogram;
 use indra_core::RunReport;
 use indra_persist::{SnapshotStore, JOURNAL_FILE};
 
 use crate::chaos::{
-    describe_panic, install_chaos_panic_hook, plan_for_shard, ChaosConfig, ChaosRuntime,
-    ShardChaosPlan,
+    install_chaos_panic_hook, plan_for_shard, ChaosConfig, ChaosRuntime, ShardChaosPlan,
 };
-use crate::executor::aggregate_stats;
-use crate::persist::{decode_progress, encode_meta, RestoredShard};
-use crate::report::{ShardHostPerf, ShardSupervision, SupervisionStats};
-use crate::shard::{
-    run_shard_inner, shard_schedule, ShardHarness, ShardMsg, ShardOutput, NOT_DELIVERING,
-};
+use crate::persist::{decode_progress, encode_meta, load_restored, RestoredShard};
+use crate::report::{ShardSupervision, SupervisionStats};
+use crate::shard::{run_shard_inner, shard_schedule, ShardHarness, ShardOutput, NOT_DELIVERING};
 use crate::{FleetConfig, FleetReport};
 
 /// Supervision policy: how patiently shards are watched and how hard
@@ -100,13 +94,15 @@ impl SupervisorConfig {
 
 /// What a shard incarnation can report upward.
 enum SupEvent {
-    /// A regular shard message (heartbeat, sample, final output).
-    Msg(ShardMsg),
+    /// A run-slice-boundary heartbeat.
+    Beat,
+    /// The incarnation finished its schedule (or gave up).
+    Done(Box<ShardOutput>),
     /// The incarnation panicked; `delivering` is the schedule index it
     /// was delivering when it died, if the death was mid-delivery.
     Crashed { delivering: Option<u64> },
     /// The incarnation failed with a typed harness error.
-    Fault(String),
+    Fault,
     /// The incarnation's thread is gone (always the last message).
     Exited,
 }
@@ -174,13 +170,14 @@ impl Slot {
     fn finished(&self) -> bool {
         matches!(self.state, SlotState::Done | SlotState::Abandoned)
     }
+}
 
-    fn mean_revive_ms(&self) -> f64 {
-        if self.revive_ms.is_empty() {
-            0.0
-        } else {
-            self.revive_ms.iter().sum::<f64>() / self.revive_ms.len() as f64
-        }
+/// The mean of `xs`, 0 when empty.
+fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 
@@ -197,7 +194,6 @@ impl Ctx<'_> {
     fn harness(&self, shard: usize, slot: &Slot) -> ShardHarness {
         let chaos = (!self.sup.chaos.is_off()).then(|| {
             ChaosRuntime::new(
-                shard,
                 self.plans[shard].clone(),
                 self.fired[shard].clone(),
                 self.stall_ms,
@@ -217,9 +213,7 @@ impl Ctx<'_> {
     /// degrades to a fresh start — determinism makes the restart
     /// converge on the same trajectory, just more slowly.
     fn thaw(&self, shard: usize) -> Option<RestoredShard> {
-        let loaded = self.store.as_ref()?.load_shard(shard).ok()??;
-        let progress = decode_progress(&loaded.progress).ok()?;
-        Some(RestoredShard { state: loaded.state, progress })
+        load_restored(self.store.as_ref()?, shard).ok()?
     }
 }
 
@@ -236,23 +230,22 @@ fn spawn_incarnation<'scope, 'env>(
     let delivering = harness.delivering.clone();
     scope.spawn(move || {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard_inner(cfg, plan, restored, harness, |msg| {
-                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Msg(msg) });
+            run_shard_inner(cfg, plan, restored, harness, |_| {
+                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Beat });
             })
         }));
         match result {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Fault(e.to_string()) });
+            Ok(Ok(Some(out))) => {
+                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Done(Box::new(out)) });
             }
-            Err(payload) => {
+            Ok(Ok(None)) => {} // cancelled: a newer incarnation owns the result
+            Ok(Err(_)) => {
+                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Fault });
+            }
+            Err(_) => {
                 // Attribute the death: if the loop was mid-delivery the
                 // flag still holds the schedule index it was delivering.
                 let at = delivering.as_ref().map_or(NOT_DELIVERING, |d| d.load(Ordering::SeqCst));
-                // The description is rendered eagerly because the
-                // payload cannot leave this thread; it is currently only
-                // used to keep the hook-silenced panics debuggable.
-                let _desc = describe_panic(payload.as_ref());
                 let _ = tx.send(SupMsg {
                     shard,
                     gen,
@@ -388,12 +381,8 @@ fn handle(slot: &mut Slot, m: SupMsg, sup: &SupervisorConfig) {
         return;
     }
     match m.event {
-        SupEvent::Msg(ShardMsg::Beat(_)) => slot.last_beat = Instant::now(),
-        // The live sample stream is ignored under supervision: revived
-        // incarnations re-stream history, so the aggregate is rebuilt
-        // from final reports instead (see `assemble_report`).
-        SupEvent::Msg(ShardMsg::Sample(_)) => {}
-        SupEvent::Msg(ShardMsg::Done(out)) => {
+        SupEvent::Beat => slot.last_beat = Instant::now(),
+        SupEvent::Done(out) => {
             slot.output = Some(out);
             slot.state = SlotState::Done;
         }
@@ -413,7 +402,7 @@ fn handle(slot: &mut Slot, m: SupMsg, sup: &SupervisorConfig) {
                 slot.state = SlotState::Draining;
             }
         }
-        SupEvent::Fault(_desc) => {
+        SupEvent::Fault => {
             if matches!(slot.state, SlotState::Running) {
                 slot.harness_errors += 1;
                 slot.died_at = Some(Instant::now());
@@ -494,18 +483,8 @@ fn assemble_report(
         })
         .collect();
 
-    // Rebuild the latency digest from final reports — identical to the
-    // stream-fed digest of an unsupervised run, and immune to revived
-    // incarnations re-streaming their history.
-    let mut latency = Histogram::new();
-    for o in &outputs {
-        for s in &o.report.samples {
-            latency.record(s.cycles);
-        }
-    }
-    let stats = aggregate_stats(&outputs, latency);
-
-    let per_shard: Vec<ShardSupervision> = slots
+    let mut report = FleetReport::from_outputs(&outputs, started);
+    let per_shard = slots
         .iter()
         .enumerate()
         .map(|(shard, s)| ShardSupervision {
@@ -516,68 +495,27 @@ fn assemble_report(
             harness_errors: s.harness_errors,
             quarantined: s.quarantined.iter().copied().collect(),
             abandoned: matches!(s.state, SlotState::Abandoned),
-            mean_time_to_revive_ms: s.mean_revive_ms(),
-            divergences: 0,
-            divergent_masked: 0,
-            rejuvenations: 0,
+            mean_time_to_revive_ms: mean(&s.revive_ms),
+            ..ShardSupervision::default()
         })
         .collect();
-    let sum =
-        |f: fn(&ShardSupervision) -> u32| per_shard.iter().map(|s| u64::from(f(s))).sum::<u64>();
-    let all_revivals: Vec<f64> = slots.iter().flat_map(|s| s.revive_ms.iter().copied()).collect();
-    let scheduled = cfg.shards as u64 * u64::from(cfg.requests_per_shard);
-    let supervision = SupervisionStats {
-        revivals: sum(|s| s.revivals),
-        crashes: sum(|s| s.crashes),
-        hangs: sum(|s| s.hangs),
-        harness_errors: sum(|s| s.harness_errors),
-        chaos_host_events: ctx
-            .fired
-            .iter()
-            .map(|f| f.iter().filter(|b| b.load(Ordering::SeqCst)).count() as u64)
-            .sum(),
-        quarantined_requests: per_shard.iter().map(|s| s.quarantined.len() as u64).sum(),
-        abandoned_shards: per_shard.iter().filter(|s| s.abandoned).count() as u64,
-        // A request is "disposed" when it was served, or when it was a
-        // detected attack the system neutralized (that *is* the service
-        // working); quarantined and never-delivered requests are not.
-        availability: if scheduled == 0 {
-            1.0
-        } else {
-            let disposed = stats.served + stats.true_detections.min(stats.attacks_sent);
-            disposed as f64 / scheduled as f64
-        },
-        mean_time_to_revive_ms: if all_revivals.is_empty() {
-            0.0
-        } else {
-            all_revivals.iter().sum::<f64>() / all_revivals.len() as f64
-        },
-        divergences: 0,
-        divergent_masked: 0,
-        rejuvenations: 0,
-        per_shard,
-    };
-
-    let shard_host = outputs
+    let mut sup = SupervisionStats::from_shards(per_shard);
+    sup.chaos_host_events = ctx
+        .fired
         .iter()
-        .map(|o| ShardHostPerf {
-            shard: o.plan.shard,
-            insns: o.insns,
-            wall_seconds: o.wall_seconds,
-            superblocks: o.superblocks,
-            predecode: o.predecode,
-            wal_bytes: o.wal.bytes,
-            wal_pages: o.wal.pages,
-        })
-        .collect();
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let wall_req_per_sec =
-        if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
-    FleetReport {
-        stats,
-        wall_seconds,
-        wall_req_per_sec,
-        shard_host,
-        supervision: Some(supervision),
+        .map(|f| f.iter().filter(|b| b.load(Ordering::SeqCst)).count() as u64)
+        .sum();
+    // A request is "disposed" when it was served, or when it was a
+    // detected attack the system neutralized (that *is* the service
+    // working); quarantined and never-delivered requests are not.
+    let scheduled = cfg.shards as u64 * u64::from(cfg.requests_per_shard);
+    let stats = &report.stats;
+    let disposed = stats.served + stats.true_detections.min(stats.attacks_sent);
+    if scheduled > 0 {
+        sup.availability = disposed as f64 / scheduled as f64;
     }
+    let all_revivals: Vec<f64> = slots.iter().flat_map(|s| s.revive_ms.iter().copied()).collect();
+    sup.mean_time_to_revive_ms = mean(&all_revivals);
+    report.supervision = Some(sup);
+    report
 }

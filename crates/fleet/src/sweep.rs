@@ -15,7 +15,7 @@ use indra_core::json::{json_array, JsonObject};
 
 use crate::{
     resume_fleet, run_fleet, run_fleet_supervised, ChaosConfig, FleetConfig, FleetReport,
-    SupervisorConfig,
+    ScratchDir, SupervisorConfig,
 };
 
 /// Parsed `fleetbench` command line.
@@ -536,23 +536,19 @@ fn run_chaos(args: &SweepArgs, name: &str) -> Result<Vec<FleetReport>, String> {
         let mut cfg = FleetConfig { shards, ..args.base.clone() };
         // Revival needs a durable store; conjure a scratch one when the
         // caller did not provide theirs.
-        let scratch = if cfg.store_dir.is_none() {
-            let dir =
-                std::env::temp_dir().join(format!("indra-chaos-{}-{profile}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            cfg.store_dir = Some(dir.to_string_lossy().into_owned());
+        let mut scratch = None;
+        if cfg.store_dir.is_none() {
+            let dir = ScratchDir::create(&format!("chaos-{profile}"))
+                .map_err(|e| format!("scratch store: {e}"))?;
+            cfg.store_dir = Some(dir.path().to_string_lossy().into_owned());
             if cfg.checkpoint_every == 0 {
                 cfg.checkpoint_every = 3;
             }
-            Some(dir)
-        } else {
-            None
-        };
+            scratch = Some(dir);
+        }
         let sup = supervisor_for(args, profile)?;
         let report = run_fleet_supervised(&cfg, &sup);
-        if let Some(dir) = scratch {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        drop(scratch);
         let s = report.supervision.as_ref().expect("supervised runs carry supervision stats");
         println!(
             "{:>8} {:>8} {:>8} {:>6} {:>8} {:>11} {:>10} {:>13.4} {:>8.1} {:>8}",
@@ -640,21 +636,37 @@ fn run_chaos(args: &SweepArgs, name: &str) -> Result<Vec<FleetReport>, String> {
         println!("chaos report: wrote {path}");
     }
 
-    if let Some(min) = args.assert_revivals_min {
-        if total_revivals < min {
-            return Err(format!(
-                "assertion failed: {total_revivals} revivals < required minimum {min}"
-            ));
-        }
-    }
-    if let Some(min) = args.assert_availability_min {
-        if worst_availability < min {
-            return Err(format!(
-                "assertion failed: availability {worst_availability:.4} < required minimum {min}"
-            ));
-        }
-    }
+    check_floors(args, total_revivals, worst_availability, None)?;
     Ok(reports)
+}
+
+/// Enforces the `--assert-*` floors on a supervised or replicated run:
+/// `revived` revivals, the worst `availability` seen and — for voting
+/// runs only — the `divergences` caught.
+///
+/// # Errors
+///
+/// The first floor the run falls below.
+pub fn check_floors(
+    args: &SweepArgs,
+    revived: u64,
+    availability: f64,
+    divergences: Option<u64>,
+) -> Result<(), String> {
+    if let Some(min) = args.assert_revivals_min.filter(|&min| revived < min) {
+        return Err(format!("assertion failed: {revived} revivals < required minimum {min}"));
+    }
+    if let Some(min) = args.assert_availability_min.filter(|&min| availability < min) {
+        return Err(format!(
+            "assertion failed: availability {availability:.4} < required minimum {min}"
+        ));
+    }
+    match (args.assert_divergences_min, divergences) {
+        (Some(min), Some(caught)) if caught < min => {
+            Err(format!("assertion failed: {caught} divergences caught < required minimum {min}"))
+        }
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

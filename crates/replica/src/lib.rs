@@ -35,5 +35,5 @@ pub mod runner;
 pub use bench::replica_bench_json;
 pub use cell::{CellVerdict, ReplicaCell, TAG_DEAD, TAG_DETECTED, TAG_QUARANTINED, TAG_SERVED};
 pub use digest::{fnv1a, fnv1a_u64, DigestCache, StateDigest, FNV_OFFSET};
-pub use group::{Ballot, GroupCounters, ReplicaGroup};
+pub use group::{Ballot, GroupCounters, ReplicaError, ReplicaGroup};
 pub use runner::{run_fleet_replicated, ReplicaOptions};

@@ -1,7 +1,7 @@
 //! The replicated fleet runner: one [`ReplicaGroup`] per shard.
 //!
 //! Mirrors [`indra_fleet::run_fleet`]'s aggregation exactly — leader
-//! outputs fold through [`indra_fleet::aggregate_stats`] in shard
+//! outputs fold through [`FleetReport::from_outputs`] in shard
 //! order — so [`indra_fleet::FleetStats`] keeps its determinism
 //! contract: for K ≥ 2 a stealth-corrupted run's stats are
 //! byte-identical to an undisturbed run's, because every corrupted
@@ -10,13 +10,12 @@
 //! host observations and live in [`SupervisionStats`] on the outer
 //! [`FleetReport`], never inside `stats`.
 
-use std::sync::mpsc;
+use std::path::PathBuf;
 use std::time::Instant;
 
-use indra_bench::Histogram;
 use indra_fleet::{
-    aggregate_stats, plan_for_shard, ChaosConfig, FleetConfig, FleetReport, ShardHostPerf,
-    ShardOutput, ShardSupervision, SupervisionStats,
+    par_map, plan_for_shard, ChaosConfig, FleetConfig, FleetReport, ScratchDir, ShardOutput,
+    ShardSupervision, SupervisionStats,
 };
 use indra_persist::SnapshotStore;
 
@@ -48,8 +47,9 @@ impl Default for ReplicaOptions {
 ///
 /// # Errors
 ///
-/// Returns a message when the checkpoint store cannot be created or a
-/// group's persistence fails.
+/// Returns a message when the checkpoint store cannot be created, a
+/// group's persistence fails, or a revival is refused (a checkpoint
+/// from another run) or lands off the group's agreed state.
 ///
 /// # Panics
 ///
@@ -63,151 +63,61 @@ pub fn run_fleet_replicated(
     let started = Instant::now();
 
     // Groups need durable checkpoints for revival; default a cadence
-    // when the config doesn't set one, and a scratch store when the
-    // config names no directory.
+    // when the config doesn't set one, and a scratch store of this
+    // run's own when the config names no directory.
     let checkpoint_every = if cfg.checkpoint_every > 0 { cfg.checkpoint_every } else { 4 };
     let (store_dir, scratch) = match &cfg.store_dir {
-        Some(dir) => (std::path::PathBuf::from(dir), false),
+        Some(dir) => (PathBuf::from(dir), None),
         None => {
-            let dir = std::env::temp_dir().join(format!(
-                "indra-replica-{}-{:08x}",
-                std::process::id(),
-                cfg.seed
-            ));
-            (dir, true)
+            let scratch = ScratchDir::create(&format!("replica-{:08x}", cfg.seed))
+                .map_err(|e| format!("scratch store: {e}"))?;
+            (scratch.path().to_path_buf(), Some(scratch))
         }
     };
 
-    let (tx, rx) = mpsc::channel::<Result<(usize, ShardOutput, GroupCounters), String>>();
-    std::thread::scope(|scope| {
-        for shard in 0..cfg.shards {
-            let tx = tx.clone();
-            let store_dir = store_dir.clone();
-            scope.spawn(move || {
-                let run = || -> Result<(ShardOutput, GroupCounters), String> {
-                    let store = SnapshotStore::create(&store_dir)
-                        .map_err(|e| format!("shard {shard}: store: {e}"))?;
-                    let plan = cfg.plan(shard);
-                    let stealth = plan_for_shard(&opts.chaos, cfg, shard).stealth;
-                    let mut group = ReplicaGroup::new(
-                        cfg,
-                        plan,
-                        opts.replicas,
-                        checkpoint_every,
-                        opts.rejuvenate_every,
-                        store,
-                        stealth,
-                    )
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                    let completed = group.run().map_err(|e| format!("shard {shard}: {e}"))?;
-                    Ok(group.finish(completed))
-                };
-                let msg = run().map(|(out, counters)| (shard, out, counters));
-                tx.send(msg).expect("aggregator outlives shard workers");
-            });
-        }
-        drop(tx);
+    let rows = par_map(0..cfg.shards, |shard| -> Result<(ShardOutput, GroupCounters), String> {
+        let store =
+            SnapshotStore::create(&store_dir).map_err(|e| format!("shard {shard}: store: {e}"))?;
+        let plan = cfg.plan(shard);
+        let stealth = plan_for_shard(&opts.chaos, cfg, shard).stealth;
+        let mut group = ReplicaGroup::new(
+            cfg,
+            plan,
+            opts.replicas,
+            checkpoint_every,
+            opts.rejuvenate_every,
+            store,
+            stealth,
+        )
+        .map_err(|e| format!("shard {shard}: {e}"))?;
+        let completed = group.run().map_err(|e| format!("shard {shard}: {e}"))?;
+        Ok(group.finish(completed))
     });
+    let (outputs, counters): (Vec<ShardOutput>, Vec<GroupCounters>) =
+        rows.into_iter().collect::<Result<Vec<_>, String>>()?.into_iter().unzip();
 
-    let mut rows: Vec<(usize, ShardOutput, GroupCounters)> = Vec::with_capacity(cfg.shards);
-    for msg in rx {
-        rows.push(msg?);
+    drop(scratch);
+    let mut report = FleetReport::from_outputs(&outputs, started);
+    let saturate = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+    let per_shard = outputs.iter().zip(&counters).map(|(out, c)| ShardSupervision {
+        shard: out.plan.shard,
+        quarantined: out.report.quarantined.clone(),
+        divergences: saturate(c.divergences),
+        divergent_masked: saturate(c.divergent_masked),
+        rejuvenations: saturate(c.rejuvenations),
+        ..ShardSupervision::default()
+    });
+    let mut sup = SupervisionStats::from_shards(per_shard.collect());
+    let s = &report.stats;
+    let scheduled = s.benign_sent + s.attacks_sent;
+    if scheduled > 0 {
+        sup.availability = (s.served + s.detections) as f64 / scheduled as f64;
     }
-    rows.sort_by_key(|(shard, _, _)| *shard);
-
-    let mut latency = Histogram::new();
-    for (_, out, _) in &rows {
-        for s in &out.report.samples {
-            latency.record(s.cycles);
-        }
+    let revive_events: u64 = counters.iter().map(|c| c.revive_events).sum();
+    if revive_events > 0 {
+        let revive_ms: f64 = counters.iter().map(|c| c.revive_wall_ms).sum();
+        sup.mean_time_to_revive_ms = revive_ms / revive_events as f64;
     }
-    let outputs: Vec<ShardOutput> = rows.iter().map(|(_, out, _)| clone_output(out)).collect();
-    let stats = aggregate_stats(&outputs, latency);
-
-    let shard_host: Vec<ShardHostPerf> = outputs
-        .iter()
-        .map(|o| ShardHostPerf {
-            shard: o.plan.shard,
-            insns: o.insns,
-            wall_seconds: o.wall_seconds,
-            superblocks: o.superblocks,
-            predecode: o.predecode,
-            wal_bytes: o.wal.bytes,
-            wal_pages: o.wal.pages,
-        })
-        .collect();
-
-    let mut sup = SupervisionStats {
-        revivals: 0,
-        crashes: 0,
-        hangs: 0,
-        harness_errors: 0,
-        chaos_host_events: 0,
-        quarantined_requests: 0,
-        abandoned_shards: 0,
-        availability: 0.0,
-        mean_time_to_revive_ms: 0.0,
-        divergences: 0,
-        divergent_masked: 0,
-        rejuvenations: 0,
-        per_shard: Vec::with_capacity(rows.len()),
-    };
-    let mut revive_ms = 0.0;
-    let mut revive_events = 0u64;
-    let mut disposed = 0u64;
-    let mut scheduled = 0u64;
-    for (shard, out, counters) in &rows {
-        sup.divergences += counters.divergences;
-        sup.divergent_masked += counters.divergent_masked;
-        sup.rejuvenations += counters.rejuvenations;
-        sup.quarantined_requests += counters.quarantined;
-        revive_ms += counters.revive_wall_ms;
-        revive_events += counters.revive_events;
-        disposed += out.report.served + out.report.detections.len() as u64;
-        scheduled += out.benign_sent + out.attacks_sent;
-        sup.per_shard.push(ShardSupervision {
-            shard: *shard,
-            revivals: 0,
-            crashes: 0,
-            hangs: 0,
-            harness_errors: 0,
-            quarantined: out.report.quarantined.clone(),
-            abandoned: false,
-            mean_time_to_revive_ms: 0.0,
-            divergences: u32::try_from(counters.divergences).unwrap_or(u32::MAX),
-            divergent_masked: u32::try_from(counters.divergent_masked).unwrap_or(u32::MAX),
-            rejuvenations: u32::try_from(counters.rejuvenations).unwrap_or(u32::MAX),
-        });
-    }
-    sup.availability = if scheduled == 0 { 1.0 } else { disposed as f64 / scheduled as f64 };
-    sup.mean_time_to_revive_ms =
-        if revive_events == 0 { 0.0 } else { revive_ms / revive_events as f64 };
-
-    if scratch {
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
-
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let wall_req_per_sec =
-        if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
-    Ok(FleetReport { stats, wall_seconds, wall_req_per_sec, shard_host, supervision: Some(sup) })
-}
-
-/// [`ShardOutput`] has no `Clone` derive (it carries a full report);
-/// rebuild one field-by-field for the aggregation pass.
-fn clone_output(out: &ShardOutput) -> ShardOutput {
-    ShardOutput {
-        plan: out.plan.clone(),
-        report: out.report.clone(),
-        benign_sent: out.benign_sent,
-        attacks_sent: out.attacks_sent,
-        faults_injected: out.faults_injected,
-        sim_cycles: out.sim_cycles,
-        completed: out.completed,
-        insns: out.insns,
-        wall_seconds: out.wall_seconds,
-        superblocks: out.superblocks,
-        predecode: out.predecode,
-        wal: out.wal,
-    }
+    report.supervision = Some(sup);
+    Ok(report)
 }

@@ -71,3 +71,36 @@ fn rejuvenation_fires_and_preserves_stats() {
     assert!(sup.rejuvenations >= 2, "cadence 3 over 6 requests must fire");
     assert_eq!(rej.stats.to_json(), base.stats.to_json(), "rejuvenation is stats-neutral");
 }
+
+#[test]
+fn checkpoint_from_another_run_is_refused() {
+    use indra_fleet::ScratchDir;
+    use indra_persist::SnapshotStore;
+    use indra_replica::{ReplicaError, ReplicaGroup};
+
+    let cfg = FleetConfig { shards: 1, requests_per_shard: 8, ..FleetConfig::quick() };
+    let dir = ScratchDir::create("replica-foreign-checkpoint").expect("scratch dir");
+    let store = || SnapshotStore::create(dir.path()).expect("store");
+    let group = |checkpoint_every, rejuvenate_every| {
+        ReplicaGroup::new(&cfg, cfg.plan(0), 1, checkpoint_every, rejuvenate_every, store(), vec![])
+            .expect("group")
+    };
+    // This run checkpoints at request 4 and rejuvenates every 2
+    // requests, from its own checkpoint once it has one.
+    let mut run = group(4, Some(2));
+    for _ in 0..4 {
+        assert!(run.step().expect("the run's own history revives"));
+    }
+    // Another run sharing the store overwrites the shard's checkpoint.
+    let mut intruder = group(2, None);
+    for _ in 0..2 {
+        assert!(intruder.step().expect("the other run"));
+    }
+    assert!(run.step().expect("request 4 needs no revival"));
+    match run.step() {
+        Err(ReplicaError::ForeignCheckpoint { shard: 0, expected, found }) => {
+            assert_ne!(expected, found);
+        }
+        other => panic!("a foreign checkpoint must be refused, got {other:?}"),
+    }
+}

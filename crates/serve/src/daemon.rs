@@ -32,12 +32,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use indra_bench::Histogram;
 use indra_core::RecoveryLevel;
 use indra_fleet::{aggregate_stats, FleetStats, ShardError, ShardOutput};
 use indra_persist::{
-    IngressKind, IngressRecord, IngressWriter, PersistError, SnapshotStore, WireReader, WireWriter,
-    INGRESS_FILE,
+    IngressKind, IngressRecord, IngressWriter, PersistError, ShardCheckpointWriter, SnapshotStore,
+    WireReader, WireWriter, INGRESS_FILE,
 };
 use indra_replica::DigestCache;
 
@@ -54,6 +53,9 @@ use crate::proto::{
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Sim-deterministic engine knobs (persisted; replay reuses them).
+    /// One app for the whole daemon: attack payloads embed
+    /// image-specific addresses, and admission routes round-robin, so
+    /// heterogeneous shards would misroute exploits.
     pub engine: EngineConfig,
     /// Initial live shard count.
     pub shards: usize,
@@ -213,24 +215,9 @@ struct Inner {
 impl Inner {
     fn health(&self) -> HealthReply {
         let router = self.router.lock().expect("router lock");
-        let mut served = 0;
-        let mut detections = 0;
-        let mut revivals = 0;
-        let mut quarantined = 0;
-        let mut divergences = 0;
-        let mut divergent_masked = 0;
-        let mut rejuvenations = 0;
-        let mut detection_insns = 0;
-        for slot in &router.slots {
-            served += slot.shared.served.load(Ordering::SeqCst);
-            detections += slot.shared.detections.load(Ordering::SeqCst);
-            revivals += slot.shared.revivals.load(Ordering::SeqCst);
-            quarantined += slot.shared.quarantined.load(Ordering::SeqCst);
-            divergences += slot.shared.divergences.load(Ordering::SeqCst);
-            divergent_masked += slot.shared.divergent_masked.load(Ordering::SeqCst);
-            rejuvenations += slot.shared.rejuvenations.load(Ordering::SeqCst);
-            detection_insns += slot.shared.detection_insns.load(Ordering::SeqCst);
-        }
+        let sum = |counter: fn(&ShardShared) -> &AtomicU64| {
+            router.slots.iter().map(|slot| counter(&slot.shared).load(Ordering::SeqCst)).sum()
+        };
         let live = router.live() as u32;
         HealthReply {
             ok: live > 0,
@@ -238,16 +225,16 @@ impl Inner {
             scale: self.cfg.engine.scale,
             shards_live: live,
             shards_draining: router.draining() as u32,
-            served,
-            detections,
-            revivals,
-            quarantined,
+            served: sum(|s| &s.served),
+            detections: sum(|s| &s.detections),
+            revivals: sum(|s| &s.revivals),
+            quarantined: sum(|s| &s.quarantined),
             rejected: self.rejected.load(Ordering::SeqCst),
             replicas: self.cfg.replicas.max(1) as u32,
-            divergences,
-            divergent_masked,
-            rejuvenations,
-            detection_insns,
+            divergences: sum(|s| &s.divergences),
+            divergent_masked: sum(|s| &s.divergent_masked),
+            rejuvenations: sum(|s| &s.rejuvenations),
+            detection_insns: sum(|s| &s.detection_insns),
         }
     }
 
@@ -451,51 +438,28 @@ impl Daemon {
             }
         }
         outputs.sort_by_key(|o| o.plan.shard);
-        let mut latency = Histogram::new();
-        for out in &outputs {
-            for s in &out.report.samples {
-                latency.record(s.cycles);
-            }
-        }
         Ok(ServeReport {
-            stats: aggregate_stats(&outputs, latency),
+            stats: aggregate_stats(&outputs),
             rejected: self.inner.rejected.load(Ordering::SeqCst),
             wall_seconds: self.started.elapsed().as_secs_f64(),
         })
     }
 }
 
-/// Everything one shard worker needs that was decided at spawn time.
-struct WorkerCfg {
-    engine: EngineConfig,
-    root: PathBuf,
-    shard: usize,
-    checkpoint_every: u32,
-    replicas: usize,
-    rejuvenate_every: Option<u64>,
-}
-
 fn spawn_shard(cfg: &ServeConfig, shard: usize) -> Result<Slot, ServeError> {
     let (tx, rx) = mpsc::sync_channel::<WorkItem>(cfg.queue_depth.max(1));
     let shared = Arc::new(ShardShared::default());
     let worker_shared = Arc::clone(&shared);
-    let worker_cfg = WorkerCfg {
-        engine: cfg.engine.clone(),
-        root: cfg.state_dir.clone(),
-        shard,
-        checkpoint_every: cfg.checkpoint_every,
-        replicas: cfg.replicas.max(1),
-        rejuvenate_every: cfg.rejuvenate_every,
-    };
+    let worker_cfg = cfg.clone();
     let handle = std::thread::Builder::new()
         .name(format!("shard-{shard:04}"))
-        .spawn(move || shard_worker(&worker_cfg, &worker_shared, &rx))
+        .spawn(move || shard_worker(&worker_cfg, shard, &worker_shared, &rx))
         .map_err(ServeError::Io)?;
     Ok(Slot { shard, tx: Some(tx), shared, handle: Some(handle) })
 }
 
 fn publish(shared: &ShardShared, runner: &ShardRunner) {
-    let report = runner.report();
+    let report = runner.engine().report();
     shared.served.store(report.served, Ordering::SeqCst);
     shared.detections.store(report.detections.len() as u64, Ordering::SeqCst);
     shared
@@ -515,17 +479,34 @@ fn quarantine_record(seq: u64) -> IngressRecord {
     }
 }
 
-fn cursor_blob(cursor: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(cursor);
-    w.finish()
+/// Durably checkpoints the runner, its cursor as the progress blob.
+fn checkpoint(w: &mut ShardCheckpointWriter, runner: &mut ShardRunner) -> Result<(), ShardError> {
+    let (state, cursor) = runner.freeze();
+    let mut blob = WireWriter::new();
+    blob.u64(cursor);
+    runner.wal.absorb(w.checkpoint(&state, &blob.finish())?);
+    Ok(())
 }
 
-pub(crate) fn read_cursor(progress: &[u8]) -> Result<u64, PersistError> {
-    let mut r = WireReader::new(progress);
-    let cursor = r.u64("serve progress cursor")?;
-    r.expect_exhausted("serve progress trailing bytes")?;
-    Ok(cursor)
+/// Recovers a runner from the shard's durable checkpoint (when it has
+/// one) plus the admitted history `records`; returns it with the seqs
+/// the recovery newly quarantined.
+fn recover(
+    cfg: &ServeConfig,
+    store: &SnapshotStore,
+    shard: usize,
+    records: Vec<IngressRecord>,
+) -> Result<(ShardRunner, Vec<u64>), ShardError> {
+    let checkpoint = match store.load_shard(shard)? {
+        Some(loaded) => {
+            let mut r = WireReader::new(&loaded.progress);
+            let cursor = r.u64("serve progress cursor")?;
+            r.expect_exhausted("serve progress trailing bytes")?;
+            Some((loaded.state, cursor))
+        }
+        None => None,
+    };
+    ShardRunner::from_log(cfg.engine.clone(), shard, records, checkpoint)
 }
 
 /// One shadow replica: a [`ShardRunner`] fed the identical admitted
@@ -541,19 +522,12 @@ struct Follower {
 /// crash-restart of the primary would recover, which the replay
 /// determinism contract makes byte-identical to the live primary.
 fn build_follower(
-    cfg: &WorkerCfg,
+    cfg: &ServeConfig,
     store: &SnapshotStore,
+    shard: usize,
     history: &[IngressRecord],
 ) -> Result<Follower, ShardError> {
-    let checkpoint = match store.load_shard(cfg.shard).map_err(ShardError::Persist)? {
-        Some(loaded) => {
-            let cursor = read_cursor(&loaded.progress).map_err(ShardError::Persist)?;
-            Some((loaded.state, cursor))
-        }
-        None => None,
-    };
-    let (runner, _already_tombstoned) =
-        ShardRunner::from_log(cfg.engine.clone(), cfg.shard, history.to_vec(), checkpoint)?;
+    let (runner, _already_tombstoned) = recover(cfg, store, shard, history.to_vec())?;
     Ok(Follower { runner, cache: DigestCache::new() })
 }
 
@@ -567,48 +541,35 @@ fn build_follower(
 /// checkpoint + history. The primary stays authoritative for the log,
 /// the reply and the final stats, so replay identity is untouched.
 fn shard_worker(
-    cfg: &WorkerCfg,
+    cfg: &ServeConfig,
+    shard: usize,
     shared: &ShardShared,
     rx: &Receiver<WorkItem>,
 ) -> Result<ShardOutput, ShardError> {
-    let shard = cfg.shard;
-    let store = SnapshotStore::open(&cfg.root).map_err(ShardError::Persist)?;
+    let store = SnapshotStore::open(&cfg.state_dir)?;
     let dir = store.shard_dir(shard);
     std::fs::create_dir_all(&dir).map_err(|e| ShardError::Persist(e.into()))?;
-    let (mut log, records) = IngressWriter::recover(&dir.join(INGRESS_FILE), shard as u32)
-        .map_err(ShardError::Persist)?;
-    let follower_count = cfg.replicas.saturating_sub(1);
+    let (mut log, records) = IngressWriter::recover(&dir.join(INGRESS_FILE), shard as u32)?;
+    let follower_count = cfg.replicas.max(1) - 1;
     // The in-memory mirror of the ingress log, maintained only when
     // followers exist (it is what divergent followers rebuild from).
     let mut history: Vec<IngressRecord> =
         if follower_count > 0 { records.clone() } else { Vec::new() };
-    let checkpoint = match store.load_shard(shard).map_err(ShardError::Persist)? {
-        Some(loaded) => {
-            let cursor = read_cursor(&loaded.progress).map_err(ShardError::Persist)?;
-            Some((loaded.state, cursor))
-        }
-        None => None,
-    };
-    let (mut runner, fresh) =
-        ShardRunner::from_log(cfg.engine.clone(), shard, records, checkpoint)?;
+    let (mut runner, fresh) = recover(cfg, &store, shard, records)?;
     // Recovery may have quarantined entries that killed the engine
     // deterministically; durably tombstone them before serving.
     for seq in fresh {
         let q = quarantine_record(seq);
-        log.append(&q).map_err(ShardError::Persist)?;
+        log.append(&q)?;
         if follower_count > 0 {
             history.push(q);
         }
     }
-    log.sync().map_err(ShardError::Persist)?;
-    let mut writer = if cfg.checkpoint_every > 0 {
-        Some(store.shard_writer(shard).map_err(ShardError::Persist)?)
-    } else {
-        None
-    };
+    log.sync()?;
+    let mut writer = if cfg.checkpoint_every > 0 { Some(store.shard_writer(shard)?) } else { None };
     let mut followers = Vec::with_capacity(follower_count);
     for _ in 0..follower_count {
-        followers.push(build_follower(cfg, &store, &history)?);
+        followers.push(build_follower(cfg, &store, shard, &history)?);
     }
     let mut primary_cache = DigestCache::new();
     let mut admitted = 0u64;
@@ -626,15 +587,15 @@ fn shard_worker(
         };
         let shadow_rec = (follower_count > 0).then(|| rec.clone());
         // Write-ahead: log the admission before the sim sees it.
-        log.append(&rec).map_err(ShardError::Persist)?;
+        log.append(&rec)?;
         if let Some(r) = &shadow_rec {
             history.push(r.clone());
         }
         let (disp, tombstones) = runner.admit(rec);
         for seq in tombstones {
             let q = quarantine_record(seq);
-            log.append(&q).map_err(ShardError::Persist)?;
-            log.sync().map_err(ShardError::Persist)?;
+            log.append(&q)?;
+            log.sync()?;
             if follower_count > 0 {
                 history.push(q);
             }
@@ -646,7 +607,7 @@ fn shard_worker(
                 let fdigest = f.cache.digest(f.runner.system_mut()).value;
                 if fdisp != disp || fdigest != primary_digest {
                     shared.divergences.fetch_add(1, Ordering::SeqCst);
-                    *f = build_follower(cfg, &store, &history)?;
+                    *f = build_follower(cfg, &store, shard, &history)?;
                     shared.divergent_masked.fetch_add(1, Ordering::SeqCst);
                 }
             }
@@ -655,7 +616,7 @@ fn shard_worker(
                 if n > 0 && admitted.is_multiple_of(n) {
                     let idx = rejuvenate_rr % followers.len();
                     rejuvenate_rr += 1;
-                    followers[idx] = build_follower(cfg, &store, &history)?;
+                    followers[idx] = build_follower(cfg, &store, shard, &history)?;
                     shared.rejuvenations.fetch_add(1, Ordering::SeqCst);
                 }
             }
@@ -679,21 +640,16 @@ fn shard_worker(
         if let Some(w) = writer.as_mut() {
             if since_checkpoint >= cfg.checkpoint_every {
                 since_checkpoint = 0;
-                log.sync().map_err(ShardError::Persist)?;
-                let (state, cursor) = runner.freeze();
-                let receipt =
-                    w.checkpoint(&state, &cursor_blob(cursor)).map_err(ShardError::Persist)?;
-                runner.wal.absorb(receipt);
+                log.sync()?;
+                checkpoint(w, &mut runner)?;
             }
         }
     }
 
     // Drained (all senders gone): final flush + checkpoint.
-    log.sync().map_err(ShardError::Persist)?;
+    log.sync()?;
     if let Some(w) = writer.as_mut() {
-        let (state, cursor) = runner.freeze();
-        let receipt = w.checkpoint(&state, &cursor_blob(cursor)).map_err(ShardError::Persist)?;
-        runner.wal.absorb(receipt);
+        checkpoint(w, &mut runner)?;
     }
     shared.draining.store(true, Ordering::SeqCst);
     Ok(runner.finish(true))

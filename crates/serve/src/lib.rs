@@ -44,9 +44,7 @@ pub use args::{
     parse_fleetd_args, parse_loadgen_args, FleetdArgs, LoadgenArgs, FLEETD_USAGE, LOADGEN_USAGE,
 };
 pub use daemon::{Daemon, ServeConfig, ServeError, ServeReport};
-pub use engine::{
-    decode_engine_meta, encode_engine_meta, Disposition, EngineConfig, ShardEngine, ShardRunner,
-};
+pub use engine::{decode_engine_meta, encode_engine_meta, Disposition, EngineConfig, ShardRunner};
 pub use loadgen::{run_loadgen, LoadgenReport, SweepPoint};
 pub use proto::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, HealthReply,

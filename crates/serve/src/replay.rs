@@ -11,7 +11,6 @@
 
 use std::path::Path;
 
-use indra_bench::Histogram;
 use indra_fleet::{aggregate_stats, FleetStats, ShardOutput};
 use indra_persist::{read_ingress_log, PersistError, SnapshotStore, INGRESS_FILE};
 
@@ -70,12 +69,5 @@ pub fn replay_state_dir(dir: impl AsRef<Path>) -> Result<ReplayOutcome, ServeErr
         let (runner, _fresh) = ShardRunner::from_log(engine_cfg.clone(), shard, records, None)?;
         outputs.push(runner.finish(true));
     }
-    let shards = outputs.len();
-    let mut latency = Histogram::new();
-    for out in &outputs {
-        for s in &out.report.samples {
-            latency.record(s.cycles);
-        }
-    }
-    Ok(ReplayOutcome { stats: aggregate_stats(&outputs, latency), requests_replayed, shards })
+    Ok(ReplayOutcome { stats: aggregate_stats(&outputs), requests_replayed, shards: outputs.len() })
 }

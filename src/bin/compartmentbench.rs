@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use indra_core::json::{json_array, JsonObject};
-use indra_core::{IndraSystem, RunState, SchemeKind, SystemConfig};
+use indra_fleet::{Engine, EngineConfig, ScratchDir};
 use indra_persist::{CheckpointReceipt, SnapshotStore};
 use indra_workloads::{
     attack_request, benign_request, build_app_scaled, Attack, ServiceApp, UNMAPPED_ADDR,
@@ -118,20 +118,19 @@ impl Outcome {
 /// Serves `requests` requests (every 4th an attack of `attack`'s
 /// family) through one INDRA cell, checkpointing every 4 requests to a
 /// scratch store, and collapses the run report into an [`Outcome`].
-fn run_family(attack: Attack, requests: u32, compartments: bool, tag: &str) -> Outcome {
-    let cfg = SystemConfig {
-        scheme: SchemeKind::Delta,
-        monitoring: true,
+fn run_family(attack: Attack, requests: u32, compartments: bool) -> Outcome {
+    let cfg = EngineConfig {
+        app: ServiceApp::Httpd,
+        scale: 40,
+        run_slice_steps: 20_000,
         compartments,
-        ..SystemConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sys = IndraSystem::new(cfg);
-    let image = build_app_scaled(ServiceApp::Httpd, 40);
-    sys.deploy(&image).expect("compartmentbench deploy");
+    let mut engine = Engine::new(&cfg).expect("compartmentbench deploy");
+    let image = build_app_scaled(cfg.app, cfg.scale);
 
-    let dir =
-        std::env::temp_dir().join(format!("indra-compartmentbench-{}-{tag}", std::process::id()));
-    let store = SnapshotStore::create(&dir).expect("scratch checkpoint store");
+    let dir = ScratchDir::create("compartmentbench").expect("scratch checkpoint store");
+    let store = SnapshotStore::create(dir.path()).expect("scratch checkpoint store");
     let mut writer = store.shard_writer(0).expect("scratch shard writer");
     let mut wal = CheckpointReceipt::default();
 
@@ -149,28 +148,15 @@ fn run_family(attack: Attack, requests: u32, compartments: bool, tag: &str) -> O
             benign_sent += 1;
             benign_request(i as u8, 0x20 + (i % 64) as u8)
         };
-        sys.push_request(data, malicious);
-        let mut budget = 4_000_000u64;
-        loop {
-            match sys.run(20_000) {
-                RunState::Idle | RunState::Halted => break,
-                RunState::BudgetExhausted => {
-                    budget = budget.saturating_sub(20_000);
-                    if budget == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        let _ = sys.take_responses();
+        let _ = engine.deliver(data, malicious);
         if (i + 1) % 4 == 0 {
             let receipt = writer
-                .checkpoint(&sys.freeze(), &u64::from(i + 1).to_le_bytes())
+                .checkpoint(&engine.freeze(), &u64::from(i + 1).to_le_bytes())
                 .expect("scratch checkpoint");
             wal.absorb(receipt);
         }
     }
-    let report = sys.report();
+    let report = engine.report();
     let out = Outcome {
         benign_sent,
         benign_served: report.benign_served,
@@ -181,7 +167,6 @@ fn run_family(attack: Attack, requests: u32, compartments: bool, tag: &str) -> O
         wal,
         wall_seconds: started.elapsed().as_secs_f64(),
     };
-    let _ = std::fs::remove_dir_all(&dir);
     out
 }
 
@@ -232,8 +217,8 @@ fn main() {
     let mut discards_on = 0u64;
     let mut detections_on = 0u64;
     for (name, attack) in families(&image) {
-        let off = run_family(attack, requests, false, &format!("{name}-off"));
-        let on = run_family(attack, requests, true, &format!("{name}-on"));
+        let off = run_family(attack, requests, false);
+        let on = run_family(attack, requests, true);
         for (label, o) in [("off", &off), ("on", &on)] {
             println!(
                 "{:>16} {:>4} {:>7} {:>7} {:>6} {:>7} {:>8} {:>7} {:>10.1} {:>8}",

@@ -9,7 +9,7 @@
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 
-use indra_fleet::sweep::{parse_args, run_sweep, SweepArgs, USAGE};
+use indra_fleet::sweep::{check_floors, parse_args, run_sweep, SweepArgs, USAGE};
 use indra_fleet::{ChaosConfig, FleetConfig};
 use indra_replica::{replica_bench_json, run_fleet_replicated, ReplicaOptions};
 use indra_serve::install_shutdown_handler;
@@ -95,31 +95,8 @@ fn run_replicated(args: &SweepArgs) -> Result<(), String> {
         std::fs::write(path, report.stats.to_json().as_bytes())
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    if let Some(min) = args.assert_divergences_min {
-        if sup.divergences < min {
-            return Err(format!(
-                "assertion failed: {} divergences caught < required minimum {min}",
-                sup.divergences
-            ));
-        }
-    }
-    if let Some(min) = args.assert_revivals_min {
-        let revived = sup.divergent_masked + sup.rejuvenations;
-        if revived < min {
-            return Err(format!(
-                "assertion failed: {revived} replica revivals < required minimum {min}"
-            ));
-        }
-    }
-    if let Some(min) = args.assert_availability_min {
-        if sup.availability < min {
-            return Err(format!(
-                "assertion failed: availability {:.4} < required minimum {min}",
-                sup.availability
-            ));
-        }
-    }
-    Ok(())
+    let revived = sup.divergent_masked + sup.rejuvenations;
+    check_floors(args, revived, sup.availability, Some(sup.divergences))
 }
 
 /// The K=1/2/3 detection/overhead sweep; writes `--chaos-out PATH` or

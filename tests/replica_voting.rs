@@ -11,7 +11,9 @@
 //! future change to the chaos planner or the monitor that would make
 //! the payload visible — or voting blind — fails loudly here.
 
-use indra_fleet::{plan_for_shard, shard_schedule, ChaosConfig, FleetConfig, FleetReport};
+use indra_fleet::{
+    plan_for_shard, run_fleet, shard_schedule, ChaosConfig, FleetConfig, FleetReport,
+};
 use indra_replica::{run_fleet_replicated, ReplicaCell, ReplicaOptions};
 
 fn tiny() -> FleetConfig {
@@ -65,6 +67,29 @@ fn rejuvenation_rides_along_without_disturbing_the_outcome() {
     assert!(sup.rejuvenations >= 2, "cadence 3 over 6 requests x 3 replicas: {sup:?}");
     assert!(sup.divergences >= 1, "stealth strike still caught: {sup:?}");
     assert_eq!(renewed.stats.to_json(), clean.stats.to_json());
+}
+
+#[test]
+fn concurrent_same_seed_runs_keep_their_own_scratch_stores() {
+    // Two runs of one seed in one process, both on scratch stores
+    // (`store_dir: None`), checkpointing after every request and
+    // rejuvenating: neither may read, write or delete the other's
+    // checkpoints. Their schedules differ, so a checkpoint read across
+    // runs would show in the stats, and the shorter run finishes first.
+    let short = FleetConfig { checkpoint_every: 1, ..tiny() };
+    let long = FleetConfig { requests_per_shard: 12, attack_per_mille: 250, ..short.clone() };
+    assert_eq!(short.seed, long.seed);
+    assert!(short.store_dir.is_none() && long.store_dir.is_none());
+    let opts = ReplicaOptions { replicas: 3, rejuvenate_every: Some(2), chaos: ChaosConfig::off() };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_fleet_replicated(&short, &opts));
+        let b = s.spawn(|| run_fleet_replicated(&long, &opts));
+        (a.join().expect("short run thread"), b.join().expect("long run thread"))
+    });
+    let a = a.expect("short concurrent run");
+    let b = b.expect("long concurrent run");
+    assert_eq!(a.stats.to_json(), run_fleet(&short).stats.to_json());
+    assert_eq!(b.stats.to_json(), run_fleet(&long).stats.to_json());
 }
 
 /// The regression fixture: the exact first stealth payload the quick
