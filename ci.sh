@@ -27,6 +27,21 @@ echo "== benchmark harness tests"
 # refactor from silently breaking the public entry points it drives.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "== smoke: vote_k3 voting correctness"
+# Two seconds of the benchmark's K=3 workload on the real replicated
+# path. perfbench checks that every revived replica lands on the agreed
+# state digest, that the voted FleetStats equal run_fleet's, and that
+# nothing diverges with chaos off; its last line carries the verdict.
+VOTE_OUT="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload vote_k3 --seed 1 --seconds 2 --trace 0)" || {
+  echo "perfbench vote_k3 smoke exited nonzero" >&2
+  exit 1
+}
+echo "$VOTE_OUT" | tail -n 1 | grep -qF '"correct": true' || {
+  echo "perfbench vote_k3 smoke is not correct: $(echo "$VOTE_OUT" | tail -n 1)" >&2
+  exit 1
+}
+
 echo "== smoke: fleetbench checkpoint / kill / resume"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/indra-ci-smoke.XXXXXX")"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

@@ -1083,9 +1083,10 @@ impl IndraSystem {
     }
 
     /// Like [`IndraSystem::freeze`] but with `machine.phys` left empty.
-    /// The replica layer digests physical frames incrementally (dirty
-    /// frames only), so per-vote captures must not clone every resident
-    /// frame. The result is **not** restorable — encode-only.
+    /// The replica layer digests physical frames incrementally (only
+    /// frames whose write epoch moved), so per-vote captures must not
+    /// clone every resident frame. The result is **not** restorable —
+    /// encode-only.
     #[must_use]
     pub fn freeze_sans_phys(&self) -> SystemState {
         self.freeze_inner(false)

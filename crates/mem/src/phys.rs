@@ -17,8 +17,8 @@ pub const PAGE_SHIFT: u32 = 12;
 struct Frame {
     data: Box<[u8; PAGE_SIZE as usize]>,
     /// Bumped on every mutable borrow of the frame. Host-visible
-    /// cache-validation data (translation-trace pinning), never part of
-    /// [`PhysMemState`].
+    /// cache-validation data (translation-trace pinning, the replica
+    /// layer's per-frame digest cache), never part of [`PhysMemState`].
     epoch: u64,
 }
 
@@ -29,13 +29,8 @@ struct Frame {
 #[derive(Debug, Default)]
 pub struct PhysicalMemory {
     frames: HashMap<u32, Frame>,
-    /// When set, every frame touched for writing is appended to `dirty`
-    /// (with consecutive-duplicate suppression). Off by default so the
-    /// hot write path costs one branch for non-replicated runs.
-    track_dirty: bool,
-    dirty: Vec<u32>,
     /// Bumped on wholesale replacement ([`PhysicalMemory::restore_state`])
-    /// so incremental-digest caches know their per-frame entries are stale.
+    /// so epoch-validated caches know their per-frame entries are stale.
     generation: u64,
 }
 
@@ -47,35 +42,12 @@ impl PhysicalMemory {
     }
 
     fn frame_mut(&mut self, ppn: u32) -> &mut [u8; PAGE_SIZE as usize] {
-        if self.track_dirty && self.dirty.last() != Some(&ppn) {
-            self.dirty.push(ppn);
-        }
         let f = self
             .frames
             .entry(ppn)
             .or_insert_with(|| Frame { data: Box::new([0; PAGE_SIZE as usize]), epoch: 0 });
         f.epoch += 1;
         &mut f.data
-    }
-
-    /// Turns on dirty-frame tracking (used by the replica layer's
-    /// incremental state digest). Tracking starts empty: frames written
-    /// *after* this call show up in [`PhysicalMemory::take_dirty`].
-    pub fn enable_dirty_tracking(&mut self) {
-        self.track_dirty = true;
-        self.dirty.clear();
-    }
-
-    /// Whether dirty-frame tracking is on.
-    #[must_use]
-    pub fn dirty_tracking(&self) -> bool {
-        self.track_dirty
-    }
-
-    /// Drains the set of frames written since the last call (may contain
-    /// non-consecutive duplicates; callers dedup as they fold).
-    pub fn take_dirty(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.dirty)
     }
 
     /// Restore generation: bumped whenever the whole memory image is
@@ -88,7 +60,8 @@ impl PhysicalMemory {
     /// Write epoch of frame `ppn`: bumped by every write that touches
     /// the frame, `0` for never-materialized frames. Host-side
     /// cache-validation data (the superblock engine pins code frames by
-    /// epoch), not simulated state. Epochs reset on
+    /// epoch, the replica digest re-hashes only frames whose epoch
+    /// moved), not simulated state. Epochs reset on
     /// [`PhysicalMemory::restore_state`], so always pair them with
     /// [`PhysicalMemory::generation`].
     #[must_use]
@@ -110,10 +83,12 @@ impl PhysicalMemory {
         (first..=last).map(|ppn| self.frame_epoch(ppn)).sum()
     }
 
-    /// Borrows one resident frame's contents, if materialized.
-    #[must_use]
-    pub fn frame(&self, ppn: u32) -> Option<&[u8; PAGE_SIZE as usize]> {
-        self.frames.get(&ppn).map(|f| &*f.data)
+    /// Every resident frame as `(ppn, write epoch, contents)`, in no
+    /// particular order — one pass for epoch-validated caches.
+    pub fn frames_with_epochs(
+        &self,
+    ) -> impl Iterator<Item = (u32, u64, &[u8; PAGE_SIZE as usize])> {
+        self.frames.iter().map(|(&ppn, f)| (ppn, f.epoch, &*f.data))
     }
 
     /// All resident physical page numbers in ascending order.
@@ -256,7 +231,6 @@ impl PhysicalMemory {
         for (ppn, data) in &state.frames {
             self.frames.insert(*ppn, Frame { data: data.clone(), epoch: 0 });
         }
-        self.dirty.clear();
         self.generation += 1;
     }
 }
@@ -408,50 +382,30 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_records_written_frames_only() {
-        let mut m = PhysicalMemory::new();
-        m.write_u32(0x1000, 1); // before enabling: not tracked
-        m.enable_dirty_tracking();
-        assert!(m.take_dirty().is_empty());
-        m.write_u8(0x2000, 7);
-        m.write_u8(0x2001, 8); // same frame, consecutive: deduped
-        m.write_u32(PAGE_SIZE * 5, 9);
-        let _ = m.read_u32(0x9000); // reads never dirty
-        assert_eq!(m.take_dirty(), vec![2, 5]);
-        assert!(m.take_dirty().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn restore_bumps_generation_and_clears_dirty() {
-        let mut m = PhysicalMemory::new();
-        m.enable_dirty_tracking();
-        m.write_u8(0x3000, 1);
-        let snap = m.save_state();
-        let g0 = m.generation();
-        m.write_u8(0x4000, 2);
-        m.restore_state(&snap);
-        assert_eq!(m.generation(), g0 + 1);
-        assert!(m.take_dirty().is_empty());
-        assert!(m.dirty_tracking(), "restore keeps tracking enabled");
-    }
-
-    #[test]
     fn frame_epochs_observe_every_write_path() {
         let mut m = PhysicalMemory::new();
         assert_eq!(m.frame_epoch(1), 0, "never-materialized frame");
-        m.write_u8(0x1000, 1);
-        let e1 = m.frame_epoch(1);
-        assert!(e1 > 0);
-        m.write_u32(0x1004, 2);
-        assert!(m.frame_epoch(1) > e1, "write_u32 bumps");
+        type Write = fn(&mut PhysicalMemory);
+        let writes: [(&str, Write); 5] = [
+            ("write_u8", |m| m.write_u8(0x1000, 1)),
+            ("write_u16", |m| m.write_u16(0x1010, 2)),
+            ("write_u32", |m| m.write_u32(0x1020, 3)),
+            ("write_bytes", |m| m.write_bytes(0x1030, b"abc")),
+            ("copy", |m| m.copy(0x1040, 0x1000, 8)),
+        ];
+        for (path, write) in writes {
+            let before = m.frame_epoch(1);
+            write(&mut m);
+            assert!(m.frame_epoch(1) > before, "{path} bumps");
+        }
+        let e = m.frame_epoch(1);
+        let _ = m.read_u32(0x1000);
+        m.read_bytes(0x1000, &mut [0u8; 8]);
+        assert_eq!(m.frame_epoch(1), e, "reads never bump");
         let before = m.range_epoch(0x0FF0, 0x20); // spans frames 0 and 1
         m.write_u16(0x0FFE, 3); // straddles the frame boundary
         assert!(m.range_epoch(0x0FF0, 0x20) > before, "straddling write bumps range");
-        let r = m.range_epoch(0x1000, PAGE_SIZE);
-        m.copy(0x1800, 0x0F00, 8);
-        assert!(m.range_epoch(0x1000, PAGE_SIZE) > r, "copy dst bumps");
         assert_eq!(m.range_epoch(0x1000, 0), 0, "empty range");
-        let _ = m.read_u32(0x1000);
         let snap = m.save_state();
         let g = m.generation();
         m.restore_state(&snap);
@@ -460,13 +414,16 @@ mod tests {
     }
 
     #[test]
-    fn frame_and_resident_ppns_expose_sorted_residents() {
+    fn resident_frames_are_listed_with_their_epochs() {
         let mut m = PhysicalMemory::new();
         m.write_u8(PAGE_SIZE * 9, 0xAA);
         m.write_u8(PAGE_SIZE * 3, 0xBB);
+        m.write_u8(PAGE_SIZE * 3 + 1, 0xCC);
         assert_eq!(m.resident_ppns(), vec![3, 9]);
-        assert_eq!(m.frame(3).unwrap()[0], 0xBB);
-        assert!(m.frame(4).is_none());
+        let mut seen: Vec<(u32, u64, u8)> =
+            m.frames_with_epochs().map(|(ppn, epoch, data)| (ppn, epoch, data[0])).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(3, 2, 0xBB), (9, 1, 0xAA)]);
     }
 
     #[test]

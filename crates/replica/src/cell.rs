@@ -13,7 +13,7 @@ pub use indra_fleet::CellVerdict;
 use indra_fleet::{shard_engine, Engine, FleetConfig, ShardError, ShardPlan};
 use indra_mem::{PAGE_SHIFT, PAGE_SIZE};
 
-use crate::digest::{fnv1a, DigestCache, StateDigest, FNV_OFFSET};
+use crate::digest::{hash_bytes, hash_u64, DigestCache, StateDigest, HASH_SEED};
 
 /// Ballot verdict tag: request served.
 pub const TAG_SERVED: u8 = 0;
@@ -32,35 +32,32 @@ pub struct ReplicaCell {
 }
 
 impl ReplicaCell {
-    /// Builds a fresh cell for `plan`: the fleet shard's engine, with
-    /// phys dirty tracking enabled so digests are incremental from the
-    /// first request.
+    /// Builds a fresh cell for `plan`: the fleet shard's engine and an
+    /// empty digest cache.
     ///
     /// # Errors
     ///
     /// [`ShardError::Deploy`] when the service image fails to load.
     pub fn build(cfg: &FleetConfig, plan: &ShardPlan) -> Result<ReplicaCell, ShardError> {
-        let mut engine = shard_engine(cfg, plan)?;
-        engine.system_mut().machine_mut().phys_mut().enable_dirty_tracking();
-        Ok(ReplicaCell { engine, cache: DigestCache::new() })
+        Ok(ReplicaCell { engine: shard_engine(cfg, plan)?, cache: DigestCache::new() })
     }
 
     /// Delivers one request and runs the system to idle. Returns the
-    /// verdict plus an FNV digest over the drained response bytes (the
+    /// verdict plus a hash over the drained response bytes (the
     /// "output" leg of the ballot).
     pub fn deliver(&mut self, data: Vec<u8>, malicious: bool) -> (CellVerdict, u64) {
         let (verdict, responses) = self.engine.deliver(data, malicious);
-        let mut output_hash = FNV_OFFSET;
+        let mut output_hash = HASH_SEED;
         for r in &responses {
-            output_hash = fnv1a(output_hash, &r.request_id.to_le_bytes());
-            output_hash = fnv1a(output_hash, &r.data);
+            output_hash = hash_u64(output_hash, r.request_id);
+            output_hash = hash_bytes(output_hash, &r.data);
         }
         (verdict, output_hash)
     }
 
     /// Incrementally digests the cell's current state.
     pub fn digest(&mut self) -> StateDigest {
-        self.cache.digest(self.engine.system_mut())
+        self.cache.digest(self.engine.system())
     }
 
     /// The per-section small-state blobs the digest hashes (frames

@@ -1,7 +1,7 @@
 //! Fast incremental state digests for divergence voting.
 //!
 //! Voting compares replicas after *every* request, so the digest must
-//! cost O(dirty state), not O(full freeze). Two pieces make that work:
+//! cost O(changed state), not O(full freeze). Two pieces make that work:
 //!
 //! * **Small state** — everything except physical frames — is captured
 //!   with [`IndraSystem::freeze_sans_phys`] (no frame cloning) and
@@ -10,42 +10,54 @@
 //!   exactly what a checkpoint covers. Each section hashes
 //!   independently, which is what lets the property tests corrupt one
 //!   section and pin that the digest moves.
-//! * **Physical frames** are folded incrementally: the simulator's
-//!   [dirty tracking](indra_mem::PhysicalMemory::take_dirty) names the
-//!   frames written since the last digest, only those re-hash, and the
+//! * **Physical frames** are validated by write epoch: the cache keeps
+//!   `(epoch, digest)` per resident PPN, and each call walks the
+//!   resident frames and re-hashes only those whose
+//!   [epoch](indra_mem::PhysicalMemory::frame_epoch) moved — each
+//!   changed frame once per vote, however many writes touched it. The
 //!   per-frame digests fold in PPN order from a sorted map. A
-//!   [restore](indra_mem::PhysicalMemory::restore_state) bumps the
-//!   phys generation, which invalidates the cache wholesale.
+//!   [restore](indra_mem::PhysicalMemory::restore_state) restarts the
+//!   epochs and bumps the phys generation, which invalidates the cache
+//!   wholesale.
 //!
-//! The hash is FNV-1a/64. Its per-byte step `h = (h ^ b) * PRIME` is a
-//! bijection of the 64-bit state for fixed `b` (odd multiplier), so two
-//! inputs of equal length differing in one byte *always* produce
-//! different digests — single-byte-flip detection is a theorem, not a
-//! probabilistic claim, which keeps the forall property tests
-//! deterministic.
+//! The hash folds one little-endian 8-byte word per step,
+//! `h = (h ^ w) * K; h ^= h >> 29` with `K` odd (tail bytes fold singly).
+//! For a fixed word both halves are bijections of the 64-bit state, so
+//! equal-length inputs differing in one word *always* hash apart —
+//! single-byte-flip detection is a theorem, not a probabilistic claim,
+//! which keeps the forall property tests deterministic. The xorshift is
+//! not optional: a multiply only carries a difference upwards, so
+//! without it two flips of bit 63 in different words would cancel.
 
 use std::collections::BTreeMap;
 
 use indra_core::IndraSystem;
 use indra_persist::encode_state_sections;
 
-/// FNV-1a/64 offset basis — the seed every digest chain starts from.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The seed every digest chain starts from.
+pub const HASH_SEED: u64 = 0x243f_6a88_85a3_08d3;
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const HASH_SHIFT: u32 = 29;
 
-/// Folds `bytes` into the running FNV-1a/64 state `h`.
+/// Folds `bytes` into the running state `h`, a word at a time.
 #[must_use]
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+pub fn hash_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = hash_u64(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    for &b in words.remainder() {
+        h = hash_u64(h, u64::from(b));
     }
     h
 }
 
-/// Folds a `u64` (little-endian) into the running digest.
+/// Folds one word into the running state `h` — the hash step itself.
 #[must_use]
-pub fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a(h, &v.to_le_bytes())
+#[inline]
+pub fn hash_u64(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(HASH_MUL);
+    h ^ (h >> HASH_SHIFT)
 }
 
 /// One replica's state digest: per-section digests for diagnosis, the
@@ -64,66 +76,65 @@ pub struct StateDigest {
 
 /// Incremental digest state for one replica cell.
 ///
-/// Holds a per-frame digest per resident PPN plus the phys generation
-/// it was built against. `digest` re-hashes only the frames dirtied
-/// since the previous call; a generation bump (state restore) or first
-/// use triggers a full rebuild. Frames are never unmapped outside a
-/// restore, so the cache never holds a stale resident set.
+/// Holds `(frame epoch, frame digest)` per resident PPN plus the phys
+/// generation it was built against. `digest` re-hashes only frames
+/// whose epoch moved since the previous call; a generation change
+/// (state restore) or first use rebuilds the map. Frames are never
+/// unmapped outside a restore, so the map never holds a stale resident
+/// set. A cache belongs to one system: epochs are only comparable
+/// within one physical memory.
 #[derive(Debug, Default)]
 pub struct DigestCache {
-    frames: BTreeMap<u32, u64>,
-    generation: u64,
-    primed: bool,
+    frames: BTreeMap<u32, (u64, u64)>,
+    generation: Option<u64>,
+    rehashed: u64,
 }
 
 impl DigestCache {
-    /// An empty cache; the first `digest` call does a full build.
+    /// An empty cache; the first `digest` call hashes every frame.
     #[must_use]
     pub fn new() -> DigestCache {
         DigestCache::default()
     }
 
-    /// Digests `sys` — O(small state + dirty frames) when the cache is
-    /// warm. Enables dirty tracking on the machine's physical memory if
-    /// it is not already on (the enable itself forces a full rebuild).
-    pub fn digest(&mut self, sys: &mut IndraSystem) -> StateDigest {
-        let phys = sys.machine_mut().phys_mut();
-        if !phys.dirty_tracking() {
-            phys.enable_dirty_tracking();
-            self.primed = false;
-        }
-        if !self.primed || phys.generation() != self.generation {
+    /// Frames hashed so far, over every `digest` call (a warm digest
+    /// adds only the frames written since the one before).
+    #[must_use]
+    pub fn rehashed_frames(&self) -> u64 {
+        self.rehashed
+    }
+
+    /// Digests `sys` — O(small state + written frames) when the cache
+    /// is warm.
+    pub fn digest(&mut self, sys: &IndraSystem) -> StateDigest {
+        let phys = sys.machine().phys();
+        if self.generation != Some(phys.generation()) {
             self.frames.clear();
-            let _ = phys.take_dirty();
-            for ppn in phys.resident_ppns() {
-                let frame = phys.frame(ppn).expect("listed frame is resident");
-                self.frames.insert(ppn, fnv1a(FNV_OFFSET, frame));
-            }
-            self.generation = phys.generation();
-            self.primed = true;
-        } else {
-            for ppn in phys.take_dirty() {
-                let frame = phys.frame(ppn).expect("dirty frame is resident");
-                self.frames.insert(ppn, fnv1a(FNV_OFFSET, frame));
+            self.generation = Some(phys.generation());
+        }
+        for (ppn, epoch, frame) in phys.frames_with_epochs() {
+            if self.frames.get(&ppn).is_none_or(|&(seen, _)| seen != epoch) {
+                self.frames.insert(ppn, (epoch, hash_bytes(HASH_SEED, frame)));
+                self.rehashed += 1;
             }
         }
-        let mut phys_digest = FNV_OFFSET;
-        for (&ppn, &d) in &self.frames {
-            phys_digest = fnv1a_u64(phys_digest, u64::from(ppn));
-            phys_digest = fnv1a_u64(phys_digest, d);
+        let mut phys_digest = HASH_SEED;
+        for (&ppn, &(_, d)) in &self.frames {
+            phys_digest = hash_u64(phys_digest, u64::from(ppn));
+            phys_digest = hash_u64(phys_digest, d);
         }
 
         let state = sys.freeze_sans_phys();
         let sections: Vec<(&'static str, u64)> = encode_state_sections(&state)
             .iter()
-            .map(|(name, bytes)| (*name, fnv1a(FNV_OFFSET, bytes)))
+            .map(|(name, bytes)| (*name, hash_bytes(HASH_SEED, bytes)))
             .collect();
-        let mut value = FNV_OFFSET;
+        let mut value = HASH_SEED;
         for &(name, d) in &sections {
-            value = fnv1a(value, name.as_bytes());
-            value = fnv1a_u64(value, d);
+            value = hash_bytes(value, name.as_bytes());
+            value = hash_u64(value, d);
         }
-        value = fnv1a_u64(value, phys_digest);
+        value = hash_u64(value, phys_digest);
         StateDigest { sections, phys: phys_digest, value }
     }
 }
@@ -134,24 +145,52 @@ mod tests {
 
     #[test]
     fn single_byte_flip_always_changes_the_hash() {
-        // FNV-1a's per-byte step is a bijection for fixed input byte, so
-        // equal-length inputs differing in exactly one byte must hash
-        // apart. Exercise every position of a small buffer.
+        // Each step is a bijection of the state for a fixed word, so
+        // equal-length inputs differing in exactly one word must hash
+        // apart. Exercise every position of a small buffer, plus a
+        // buffer whose length leaves tail bytes.
+        for len in [64, 61] {
+            let base = vec![0x5au8; len];
+            let h0 = hash_bytes(HASH_SEED, &base);
+            for pos in 0..len {
+                for bit in 0..8 {
+                    let mut b = base.clone();
+                    b[pos] ^= 1 << bit;
+                    assert_ne!(hash_bytes(HASH_SEED, &b), h0, "flip at {pos}.{bit} collided");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_two_bit_flip_changes_the_hash() {
+        // Flips inside one word are covered by the bijection argument;
+        // flips in two different words are what the xorshift is for
+        // (without it, bit 63 of one word cancels bit 63 of another).
+        // Every pair of bits of a 64-byte buffer, exhaustively.
         let base = [0x5au8; 64];
-        let h0 = fnv1a(FNV_OFFSET, &base);
-        for pos in 0..base.len() {
-            for bit in 0..8 {
-                let mut b = base;
-                b[pos] ^= 1 << bit;
-                assert_ne!(fnv1a(FNV_OFFSET, &b), h0, "flip at {pos}.{bit} collided");
+        let h0 = hash_bytes(HASH_SEED, &base);
+        let bits = base.len() * 8;
+        for a in 0..bits {
+            for b in a + 1..bits {
+                let mut x = base;
+                x[a / 8] ^= 1 << (a % 8);
+                x[b / 8] ^= 1 << (b % 8);
+                assert_ne!(hash_bytes(HASH_SEED, &x), h0, "flips at bits {a} and {b} collided");
             }
         }
     }
 
     #[test]
     fn u64_fold_is_order_sensitive() {
-        let a = fnv1a_u64(fnv1a_u64(FNV_OFFSET, 1), 2);
-        let b = fnv1a_u64(fnv1a_u64(FNV_OFFSET, 2), 1);
+        let a = hash_u64(hash_u64(HASH_SEED, 1), 2);
+        let b = hash_u64(hash_u64(HASH_SEED, 2), 1);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn u64_fold_matches_its_little_endian_bytes() {
+        let v = 0x0123_4567_89ab_cdef;
+        assert_eq!(hash_u64(HASH_SEED, v), hash_bytes(HASH_SEED, &v.to_le_bytes()));
     }
 }

@@ -12,8 +12,9 @@
 //! (verdict, output hash, state digest). Under determinism, *any*
 //! disagreement is a detection.
 //!
-//! * [`digest`] — O(dirty-state) incremental state digests (FNV-1a/64
-//!   chained per persist-codec section + per dirty frame).
+//! * [`digest`] — O(changed-state) incremental state digests (a
+//!   word-at-a-time hash chained per persist-codec section + per
+//!   resident frame, re-hashed only when its write epoch moves).
 //! * [`cell`] — one replica: a complete [`indra_core::IndraSystem`]
 //!   driven closed-loop, one request per ballot.
 //! * [`group`] — the voting/revival protocol: majority masks (K ≥ 3),
@@ -34,6 +35,6 @@ pub mod runner;
 
 pub use bench::replica_bench_json;
 pub use cell::{CellVerdict, ReplicaCell, TAG_DEAD, TAG_DETECTED, TAG_QUARANTINED, TAG_SERVED};
-pub use digest::{fnv1a, fnv1a_u64, DigestCache, StateDigest, FNV_OFFSET};
+pub use digest::{hash_bytes, hash_u64, DigestCache, StateDigest, HASH_SEED};
 pub use group::{Ballot, GroupCounters, ReplicaError, ReplicaGroup};
 pub use runner::{run_fleet_replicated, ReplicaOptions};

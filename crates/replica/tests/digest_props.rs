@@ -7,11 +7,16 @@
 //!    delivery (this is what makes agreement the only correct vote).
 //! 2. **Sensitivity** — flipping any single byte of any small-state
 //!    section, or any bit of any resident physical frame, changes the
-//!    digest. For FNV-1a over equal-length inputs this is structural
-//!    (the per-byte step is a bijection), so the forall never flakes.
+//!    digest. For the word hash over equal-length inputs this is
+//!    structural (each step is a bijection of the state for a fixed
+//!    word), so the forall never flakes.
+//!
+//! Plus the epoch cache's own contract: a written frame re-hashes, an
+//! unchanged system re-hashes nothing, and a restore lands on exactly
+//! the digest a fresh cell has at the same point.
 
 use indra_fleet::{shard_schedule, FleetConfig};
-use indra_replica::{fnv1a, ReplicaCell, FNV_OFFSET};
+use indra_replica::{hash_bytes, DigestCache, ReplicaCell, HASH_SEED};
 use indra_rng::forall;
 
 fn tiny() -> FleetConfig {
@@ -60,8 +65,8 @@ fn any_single_byte_section_corruption_changes_the_digest() {
             let bit = rng.gen_u8() % 8;
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 1 << bit;
-            let clean_hash = fnv1a(FNV_OFFSET, bytes);
-            let corrupt_hash = fnv1a(FNV_OFFSET, &corrupt);
+            let clean_hash = hash_bytes(HASH_SEED, bytes);
+            let corrupt_hash = hash_bytes(HASH_SEED, &corrupt);
             assert_eq!(clean_hash, digest.sections[i].1, "section {name} hash is the digest's");
             assert_ne!(
                 clean_hash, corrupt_hash,
@@ -89,4 +94,68 @@ fn any_resident_frame_bit_flip_changes_the_digest() {
         assert_ne!(before.value, after.value, "frame flip must move the chained value");
         assert_eq!(before.sections, after.sections, "small state is untouched");
     });
+}
+
+#[test]
+fn a_frame_written_between_digests_moves_phys() {
+    let cfg = tiny();
+    let plan = cfg.plan(0);
+    let mut cell = ReplicaCell::build(&cfg, &plan).expect("cell");
+    let mut cache = DigestCache::new();
+    let before = cache.digest(cell.engine().system());
+    let warm = cache.rehashed_frames();
+    assert!(warm > 0, "the first digest hashes every resident frame");
+    assert!(cell.corrupt_bit(3, 17, 5), "a deployed cell always has resident frames");
+    let after = cache.digest(cell.engine().system());
+    assert_eq!(cache.rehashed_frames(), warm + 1, "exactly the written frame re-hashes");
+    assert_ne!(before.phys, after.phys, "a written frame must move the phys digest");
+    assert_eq!(after, DigestCache::new().digest(cell.engine().system()), "warm equals cold");
+}
+
+#[test]
+fn a_repeated_digest_is_identical_and_rehashes_nothing() {
+    let cfg = tiny();
+    let plan = cfg.plan(0);
+    let schedule = shard_schedule(&cfg, &plan);
+    let mut cell = ReplicaCell::build(&cfg, &plan).expect("cell");
+    let mut cache = DigestCache::new();
+    for req in schedule.into_iter().take(2) {
+        let _ = cell.deliver(req.data, req.malicious);
+        let first = cache.digest(cell.engine().system());
+        let hashed = cache.rehashed_frames();
+        let second = cache.digest(cell.engine().system());
+        assert_eq!(first, second, "no delivery between: same digest");
+        assert_eq!(cache.rehashed_frames(), hashed, "no write between: no frame re-hashes");
+    }
+}
+
+#[test]
+fn a_restored_cell_digests_like_a_fresh_cell_at_the_same_cursor() {
+    let cfg = tiny();
+    let plan = cfg.plan(0);
+    let schedule = shard_schedule(&cfg, &plan);
+    let mut fresh = ReplicaCell::build(&cfg, &plan).expect("fresh cell");
+    let mut revived = ReplicaCell::build(&cfg, &plan).expect("revived cell");
+    // The revived cell runs the whole schedule, warming its cache on
+    // states past both checkpoints, then restores the cursor-0 and the
+    // cursor-2 captures in turn. Restored frames all carry epoch 0, so
+    // only the phys generation tells the second restore from the first.
+    for req in &schedule {
+        let _ = revived.deliver(req.data.clone(), req.malicious);
+        let _ = revived.digest();
+    }
+    let (head, tail) = schedule.split_at(2);
+    let at_zero = (fresh.freeze(), fresh.digest());
+    for req in head {
+        let _ = fresh.deliver(req.data.clone(), req.malicious);
+    }
+    revived.restore(&at_zero.0);
+    assert_eq!(revived.digest(), at_zero.1, "restore at cursor 0");
+    revived.restore(&fresh.freeze());
+    assert_eq!(revived.digest(), fresh.digest(), "restore at cursor 2");
+    for (i, req) in tail.iter().enumerate() {
+        let _ = fresh.deliver(req.data.clone(), req.malicious);
+        let _ = revived.deliver(req.data.clone(), req.malicious);
+        assert_eq!(revived.digest(), fresh.digest(), "digests split at request {}", i + 2);
+    }
 }

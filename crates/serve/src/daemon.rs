@@ -601,10 +601,10 @@ fn shard_worker(
             }
         }
         if let Some(shadow) = shadow_rec {
-            let primary_digest = primary_cache.digest(runner.system_mut()).value;
+            let primary_digest = primary_cache.digest(runner.engine().system()).value;
             for f in &mut followers {
                 let (fdisp, _ftombstones) = f.runner.admit(shadow.clone());
-                let fdigest = f.cache.digest(f.runner.system_mut()).value;
+                let fdigest = f.cache.digest(f.runner.engine().system()).value;
                 if fdisp != disp || fdigest != primary_digest {
                     shared.divergences.fetch_add(1, Ordering::SeqCst);
                     *f = build_follower(cfg, &store, shard, &history)?;

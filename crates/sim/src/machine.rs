@@ -915,9 +915,10 @@ impl Machine {
     }
 
     /// Like [`Machine::save_state`] but with `phys` left empty — for
-    /// callers (e.g. incremental state digests) that walk physical
-    /// memory separately and must not pay a full frame copy per capture.
-    /// The result is **not** restorable; it exists to be encoded.
+    /// callers (e.g. the replica layer's state digest, which re-hashes
+    /// only frames whose write epoch moved) that read physical memory
+    /// in place and must not pay a full frame copy per capture. The
+    /// result is **not** restorable; it exists to be encoded.
     #[must_use]
     pub fn save_state_sans_phys(&self) -> MachineState {
         self.save_state_inner(false)
