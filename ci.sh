@@ -42,6 +42,32 @@ echo "$VOTE_OUT" | tail -n 1 | grep -qF '"correct": true' || {
   exit 1
 }
 
+echo "== smoke: service_open reply path"
+# Four seconds of the benchmark's service workload: an in-process fleetd
+# over loopback TCP, paced at 128 req/s (a 7.8 ms interval), then
+# overloaded. perfbench checks every reply and replays the state dir;
+# its last line carries the verdict. If replies wait under Nagle's
+# algorithm for the client's next request to carry an ACK, the median
+# locks to that interval: 8.1-8.5 ms in three 4 s runs on a 2-vCPU VM.
+# Written as soon as the shard has them, the same runs read 3.2-4.5 ms.
+# 6 ms sits between the two regimes with room for a slower host.
+SERVICE_OUT="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload service_open --seed 1 --seconds 4 --trace 0)" || {
+  echo "perfbench service_open smoke exited nonzero" >&2
+  exit 1
+}
+SERVICE_LAST="$(echo "$SERVICE_OUT" | tail -n 1)"
+echo "$SERVICE_LAST" | grep -qF '"correct": true' || {
+  echo "perfbench service_open smoke is not correct: $SERVICE_LAST" >&2
+  exit 1
+}
+SERVICE_P50="$(echo "$SERVICE_LAST" \
+  | sed -n 's/.*"lat_p50_ms": {"value": \([0-9.eE+-]*\),.*/\1/p')"
+awk -v p50="$SERVICE_P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 6) }' || {
+  echo "service_open lat_p50_ms is '$SERVICE_P50', not below 6 ms: replies wait (Nagle?)" >&2
+  exit 1
+}
+
 echo "== smoke: fleetbench checkpoint / kill / resume"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/indra-ci-smoke.XXXXXX")"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

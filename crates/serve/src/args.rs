@@ -208,10 +208,10 @@ Fetches HEALTH first to learn the daemon's service app and work scale,
 then replays a benign + real-exploit mix at each offered load (open
 loop: send times follow the schedule, never the server). Reports, per
 point, admitted/rejected counts and wall-clock latency percentiles of
-admitted requests, plus the saturation knee (highest offered load whose
-rejection ratio stays within 1%). --shutdown asks the daemon to drain
-and exit afterwards; --assert-min-detections turns the run into a
-self-checking smoke test.";
+admitted requests (timed from each request's due time), plus the
+saturation knee (highest offered load whose rejection ratio stays
+within 1%). --shutdown asks the daemon to drain and exit afterwards;
+--assert-min-detections turns the run into a self-checking smoke test.";
 
 /// Parses the `loadgen` command line.
 ///

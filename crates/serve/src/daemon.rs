@@ -3,11 +3,13 @@
 //!
 //! ## Threading shape
 //!
-//! One acceptor thread owns the listener; each connection gets a reader
-//! thread (frame parse + dispatch) and a writer thread (serializing
-//! pre-encoded reply frames from an mpsc channel, so shard workers and
-//! control handlers never contend on the socket). Each shard worker
-//! owns its [`ShardRunner`] and drains a bounded
+//! One acceptor thread owns the listener; each connection gets one
+//! reader thread (buffered frame parse + dispatch). Its write half sits
+//! behind a mutex: a shard worker writes each `Response` with one
+//! `write_all` as soon as it has it (Nagle is off), and the reader
+//! writes `Rejected` and control replies the same way. A write that
+//! fails or times out shuts the connection down and marks it dead.
+//! Each shard worker owns its [`ShardRunner`] and drains a bounded
 //! [`std::sync::mpsc::sync_channel`] — the *only* buffering between the
 //! socket and the simulated system, so memory stays bounded no matter
 //! the offered load: when every live queue is at its depth watermark
@@ -23,14 +25,14 @@
 //! the two replays a little more of the log, landing in the same state.
 
 use std::collections::BTreeSet;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use indra_core::RecoveryLevel;
 use indra_fleet::{aggregate_stats, FleetStats, ShardError, ShardOutput};
@@ -158,13 +160,21 @@ pub struct ServeReport {
     pub wall_seconds: f64,
 }
 
+/// How long one reply write may block on a client that stops reading
+/// before the connection is shut down.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// A connection's write half, shared by its reader and every shard
+/// worker holding one of its requests; `None` once a write failed.
+type Replies = Arc<Mutex<Option<TcpStream>>>;
+
 /// One request admitted to a shard queue.
 struct WorkItem {
     id: u64,
     malicious: bool,
     data: Vec<u8>,
-    /// Pre-encoded reply frames go back through the connection's writer.
-    reply: Sender<Vec<u8>>,
+    /// Where the worker writes the reply frame.
+    reply: Replies,
 }
 
 /// Live counters one shard worker publishes for the control plane.
@@ -178,14 +188,13 @@ struct ShardShared {
     divergent_masked: AtomicU64,
     rejuvenations: AtomicU64,
     detection_insns: AtomicU64,
-    draining: AtomicBool,
 }
 
 struct Slot {
     shard: usize,
     tx: Option<SyncSender<WorkItem>>,
     shared: Arc<ShardShared>,
-    handle: Option<JoinHandle<Result<ShardOutput, ShardError>>>,
+    handle: JoinHandle<Result<ShardOutput, ShardError>>,
 }
 
 struct Router {
@@ -199,7 +208,7 @@ impl Router {
     }
 
     fn draining(&self) -> usize {
-        self.slots.iter().filter(|s| s.tx.is_none() && s.handle.is_some()).count()
+        self.slots.iter().filter(|s| s.tx.is_none()).count()
     }
 }
 
@@ -262,15 +271,14 @@ impl Inner {
     /// queue full → typed rejection (never unbounded buffering).
     fn route(&self, item: WorkItem) -> Result<(), (WorkItem, RejectReason)> {
         let router = self.router.lock().expect("router lock");
-        let live: Vec<&Slot> = router.slots.iter().filter(|s| s.tx.is_some()).collect();
-        if live.is_empty() {
+        let live = router.live();
+        if live == 0 {
             return Err((item, RejectReason::NoShards));
         }
-        let start = self.rr.fetch_add(1, Ordering::Relaxed) % live.len();
+        let start = self.rr.fetch_add(1, Ordering::Relaxed) % live;
         let mut item = item;
-        for off in 0..live.len() {
-            let slot = live[(start + off) % live.len()];
-            let tx = slot.tx.as_ref().expect("live slot has tx");
+        let txs = router.slots.iter().filter_map(|s| s.tx.as_ref());
+        for tx in txs.cycle().skip(start).take(live) {
             match tx.try_send(item) {
                 Ok(()) => return Ok(()),
                 Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
@@ -279,6 +287,45 @@ impl Inner {
             }
         }
         Err((item, RejectReason::QueueFull))
+    }
+
+    /// `DRAIN`: closes one live shard's queue; it checkpoints and exits.
+    fn drain(&self, shard: usize) -> Frame {
+        let mut router = self.router.lock().expect("router lock");
+        match router.slots.iter_mut().find(|s| s.shard == shard) {
+            Some(slot) if slot.tx.is_some() => {
+                slot.tx = None;
+                Frame::ControlOk { detail: format!("draining shard {shard}") }
+            }
+            Some(_) => Frame::ControlErr { msg: format!("shard {shard} already draining") },
+            None => Frame::ControlErr { msg: format!("no such shard {shard}") },
+        }
+    }
+
+    /// `SCALE`: spawns fresh shards, or drains the highest-numbered live
+    /// ones, until `target` are live.
+    fn scale(&self, target: usize) -> Frame {
+        let mut router = self.router.lock().expect("router lock");
+        let live = router.live();
+        if target == 0 {
+            return Frame::ControlErr { msg: "target must be at least 1".into() };
+        }
+        if target == live {
+            return Frame::ControlOk { detail: format!("already at {live} shards") };
+        }
+        for _ in live..target {
+            let shard = router.next_shard_id;
+            router.next_shard_id += 1;
+            match spawn_shard(&self.cfg, shard) {
+                Ok(slot) => router.slots.push(slot),
+                Err(e) => return Frame::ControlErr { msg: format!("spawn shard {shard}: {e}") },
+            }
+        }
+        let excess = live.saturating_sub(target);
+        for slot in router.slots.iter_mut().rev().filter(|s| s.tx.is_some()).take(excess) {
+            slot.tx = None;
+        }
+        Frame::ControlOk { detail: format!("scaling {live} -> {target} live shards") }
     }
 }
 
@@ -338,8 +385,7 @@ impl Daemon {
             }
             Err(e) => return Err(e.into()),
         }
-        let existing = discover_shards(store.root())?;
-        let mut shard_ids: BTreeSet<usize> = existing.into_iter().collect();
+        let mut shard_ids: BTreeSet<usize> = discover_shards(store.root())?.into_iter().collect();
         let mut next_fresh = 0usize;
         while shard_ids.len() < cfg.shards {
             shard_ids.insert(next_fresh);
@@ -349,34 +395,25 @@ impl Daemon {
 
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let addr = listener.local_addr()?;
+        let slots =
+            shard_ids.into_iter().map(|s| spawn_shard(&cfg, s)).collect::<Result<_, _>>()?;
 
         let inner = Arc::new(Inner {
             cfg,
-            router: Mutex::new(Router { slots: Vec::new(), next_shard_id }),
+            router: Mutex::new(Router { slots, next_shard_id }),
             rr: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
         });
 
-        {
-            let mut router = inner.router.lock().expect("router lock");
-            for shard in shard_ids {
-                router.slots.push(spawn_shard(&inner.cfg, shard)?);
-            }
-        }
-
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        let inner = Arc::clone(&inner);
-                        std::thread::spawn(move || handle_conn(&inner, stream));
-                    }
+                let open = |_: &std::io::Result<TcpStream>| !inner.stop.load(Ordering::SeqCst);
+                for stream in listener.incoming().take_while(open).flatten() {
+                    let inner = Arc::clone(&inner);
+                    std::thread::spawn(move || handle_conn(&inner, stream));
                 }
             })
         };
@@ -418,23 +455,16 @@ impl Daemon {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        let slots = {
-            let mut router = self.inner.router.lock().expect("router lock");
-            // Closing every sender ends each worker's recv loop once its
-            // queue drains; workers then checkpoint and exit.
-            for slot in &mut router.slots {
-                slot.tx = None;
-            }
-            std::mem::take(&mut router.slots)
-        };
+        // Dropping every sender ends each worker's recv loop once its
+        // queue drains; workers then checkpoint and exit.
+        let slots = std::mem::take(&mut self.inner.router.lock().expect("router lock").slots);
+        let handles: Vec<_> = slots.into_iter().map(|slot| (slot.shard, slot.handle)).collect();
         let mut outputs = Vec::new();
-        for mut slot in slots {
-            if let Some(h) = slot.handle.take() {
-                match h.join() {
-                    Ok(Ok(out)) => outputs.push(out),
-                    Ok(Err(e)) => return Err(e.into()),
-                    Err(_) => return Err(ServeError::WorkerPanicked { shard: slot.shard }),
-                }
+        for (shard, handle) in handles {
+            match handle.join() {
+                Ok(Ok(out)) => outputs.push(out),
+                Ok(Err(e)) => return Err(e.into()),
+                Err(_) => return Err(ServeError::WorkerPanicked { shard }),
             }
         }
         outputs.sort_by_key(|o| o.plan.shard);
@@ -455,16 +485,30 @@ fn spawn_shard(cfg: &ServeConfig, shard: usize) -> Result<Slot, ServeError> {
         .name(format!("shard-{shard:04}"))
         .spawn(move || shard_worker(&worker_cfg, shard, &worker_shared, &rx))
         .map_err(ServeError::Io)?;
-    Ok(Slot { shard, tx: Some(tx), shared, handle: Some(handle) })
+    Ok(Slot { shard, tx: Some(tx), shared, handle })
 }
 
-fn publish(shared: &ShardShared, runner: &ShardRunner) {
+/// Running `insns_into_request` sum over the engine's detections, so a
+/// publish costs O(new detections). A revival rebuilds the list.
+#[derive(Default)]
+struct DetectionTally {
+    revivals: u64,
+    counted: usize,
+    insns: u64,
+}
+
+fn publish(shared: &ShardShared, runner: &ShardRunner, tally: &mut DetectionTally) {
     let report = runner.engine().report();
+    if tally.revivals != runner.revivals || report.detections.len() < tally.counted {
+        *tally = DetectionTally { revivals: runner.revivals, ..DetectionTally::default() };
+    }
+    tally.insns +=
+        report.detections[tally.counted..].iter().map(|d| d.insns_into_request).sum::<u64>();
+    tally.counted = report.detections.len();
+    // Before the counts: whoever reads the final counts reads this too.
+    shared.detection_insns.store(tally.insns, Ordering::SeqCst);
     shared.served.store(report.served, Ordering::SeqCst);
     shared.detections.store(report.detections.len() as u64, Ordering::SeqCst);
-    shared
-        .detection_insns
-        .store(report.detections.iter().map(|d| d.insns_into_request).sum(), Ordering::SeqCst);
     shared.revivals.store(runner.revivals, Ordering::SeqCst);
     shared.quarantined.store(runner.quarantined(), Ordering::SeqCst);
 }
@@ -574,7 +618,8 @@ fn shard_worker(
     let mut primary_cache = DigestCache::new();
     let mut admitted = 0u64;
     let mut rejuvenate_rr = 0usize;
-    publish(shared, &runner);
+    let mut tally = DetectionTally::default();
+    publish(shared, &runner, &mut tally);
 
     let mut since_checkpoint = 0u32;
     while let Ok(item) = rx.recv() {
@@ -621,21 +666,17 @@ fn shard_worker(
                 }
             }
         }
-        let verdict = match disp {
-            Disposition::Served { .. } => Verdict::Served,
-            Disposition::Detected { level: RecoveryLevel::Micro } => Verdict::DetectedMicro,
-            Disposition::Detected { level: RecoveryLevel::Macro } => Verdict::DetectedMacro,
-            Disposition::Quarantined => Verdict::Quarantined,
-        };
-        let latency_cycles = match disp {
-            Disposition::Served { cycles } => cycles,
-            _ => 0,
+        let (verdict, latency_cycles) = match disp {
+            Disposition::Served { cycles } => (Verdict::Served, cycles),
+            Disposition::Detected { level: RecoveryLevel::Micro } => (Verdict::DetectedMicro, 0),
+            Disposition::Detected { level: RecoveryLevel::Macro } => (Verdict::DetectedMacro, 0),
+            Disposition::Quarantined => (Verdict::Quarantined, 0),
         };
         let frame = Frame::Response { id: item.id, shard: shard as u32, verdict, latency_cycles };
         // A vanished client is not a shard problem; the request is
         // already part of durable history either way.
-        let _ = item.reply.send(encode_frame(&frame));
-        publish(shared, &runner);
+        send(&item.reply, &frame);
+        publish(shared, &runner, &mut tally);
         since_checkpoint += 1;
         if let Some(w) = writer.as_mut() {
             if since_checkpoint >= cfg.checkpoint_every {
@@ -651,118 +692,72 @@ fn shard_worker(
     if let Some(w) = writer.as_mut() {
         checkpoint(w, &mut runner)?;
     }
-    shared.draining.store(true, Ordering::SeqCst);
     Ok(runner.finish(true))
 }
 
-/// Per-connection reader loop: parse frames, dispatch, reply through
-/// the writer thread. A malformed frame gets a typed `ControlErr` and
-/// closes the connection (framing is unrecoverable once desynced).
-fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
-    let Ok(mut write_half) = stream.try_clone() else { return };
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || {
-        while let Ok(bytes) = reply_rx.recv() {
-            if write_half.write_all(&bytes).is_err() {
-                break;
-            }
-        }
-        let _ = write_half.flush();
-    });
-    let mut read_half = stream;
+/// Per-connection socket setup: Nagle off (a reply leaves when it is
+/// ready), reply writes bounded by [`WRITE_TIMEOUT`]; returns the
+/// buffered read half and the shared write half.
+fn setup_conn(stream: TcpStream) -> std::io::Result<(BufReader<TcpStream>, Replies)> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let write_half = stream.try_clone()?;
+    Ok((BufReader::new(stream), Arc::new(Mutex::new(Some(write_half)))))
+}
+
+/// Writes one frame to a connection; false once it is dead. A failed or
+/// timed-out write shuts the socket down (which also ends its reader)
+/// and marks the connection dead, so later replies cost no syscall.
+fn send(replies: &Mutex<Option<TcpStream>>, frame: &Frame) -> bool {
+    let mut conn = replies.lock().expect("reply lock");
+    if conn.as_mut().is_some_and(|s| s.write_all(&encode_frame(frame)).is_ok()) {
+        return true;
+    }
+    let _ = conn.take().map(|s| s.shutdown(Shutdown::Both));
+    false
+}
+
+/// Per-connection reader loop: parse frames, dispatch. A malformed
+/// frame gets a typed `ControlErr` and closes the connection (framing
+/// is unrecoverable once desynced). Replies still in flight keep the
+/// write half open until the last one is written.
+fn handle_conn(inner: &Inner, stream: TcpStream) {
+    let Ok((mut reader, replies)) = setup_conn(stream) else { return };
     loop {
-        match read_frame(&mut read_half) {
+        match read_frame(&mut reader) {
             Ok(frame) => {
-                if !dispatch(inner, frame, &reply_tx) {
+                if !dispatch(inner, frame, &replies) {
                     break;
                 }
             }
             Err(FrameError::Closed) => break,
             Err(e) => {
-                let _ = reply_tx.send(encode_frame(&Frame::ControlErr { msg: e.to_string() }));
+                send(&replies, &Frame::ControlErr { msg: e.to_string() });
                 break;
             }
         }
     }
-    drop(reply_tx);
-    let _ = writer.join();
 }
 
 /// Handles one inbound frame; returns false to close the connection.
-fn dispatch(inner: &Arc<Inner>, frame: Frame, reply: &Sender<Vec<u8>>) -> bool {
-    let send = |f: &Frame| reply.send(encode_frame(f)).is_ok();
-    match frame {
+fn dispatch(inner: &Inner, frame: Frame, replies: &Replies) -> bool {
+    let reply = match frame {
         Frame::Request { id, malicious, data } => {
-            let item = WorkItem { id, malicious, data, reply: reply.clone() };
-            match inner.route(item) {
-                Ok(()) => true,
+            match inner.route(WorkItem { id, malicious, data, reply: Arc::clone(replies) }) {
+                Ok(()) => return true,
                 Err((item, reason)) => {
                     inner.rejected.fetch_add(1, Ordering::SeqCst);
-                    send(&Frame::Rejected { id: item.id, reason })
+                    Frame::Rejected { id: item.id, reason }
                 }
             }
         }
-        Frame::Stats => send(&Frame::StatsReply { json: inner.stats_json() }),
-        Frame::Health => send(&Frame::HealthReply(inner.health())),
-        Frame::Drain { shard } => {
-            let mut router = inner.router.lock().expect("router lock");
-            match router.slots.iter_mut().find(|s| s.shard == shard as usize) {
-                Some(slot) if slot.tx.is_some() => {
-                    slot.tx = None;
-                    slot.shared.draining.store(true, Ordering::SeqCst);
-                    drop(router);
-                    send(&Frame::ControlOk { detail: format!("draining shard {shard}") })
-                }
-                Some(_) => {
-                    send(&Frame::ControlErr { msg: format!("shard {shard} already draining") })
-                }
-                None => send(&Frame::ControlErr { msg: format!("no such shard {shard}") }),
-            }
-        }
-        Frame::Scale { shards } => {
-            let target = shards as usize;
-            let mut router = inner.router.lock().expect("router lock");
-            let live = router.live();
-            if target == 0 {
-                return send(&Frame::ControlErr { msg: "target must be at least 1".into() });
-            }
-            if target == live {
-                return send(&Frame::ControlOk { detail: format!("already at {live} shards") });
-            }
-            if target > live {
-                for _ in live..target {
-                    let shard = router.next_shard_id;
-                    router.next_shard_id += 1;
-                    match spawn_shard(&inner.cfg, shard) {
-                        Ok(slot) => router.slots.push(slot),
-                        Err(e) => {
-                            drop(router);
-                            return send(&Frame::ControlErr {
-                                msg: format!("spawn shard {shard}: {e}"),
-                            });
-                        }
-                    }
-                }
-            } else {
-                // Drain the highest-numbered live shards down to target.
-                let mut to_drain = live - target;
-                for slot in router.slots.iter_mut().rev() {
-                    if to_drain == 0 {
-                        break;
-                    }
-                    if slot.tx.is_some() {
-                        slot.tx = None;
-                        slot.shared.draining.store(true, Ordering::SeqCst);
-                        to_drain -= 1;
-                    }
-                }
-            }
-            drop(router);
-            send(&Frame::ControlOk { detail: format!("scaling {live} -> {target} live shards") })
-        }
+        Frame::Stats => Frame::StatsReply { json: inner.stats_json() },
+        Frame::Health => Frame::HealthReply(inner.health()),
+        Frame::Drain { shard } => inner.drain(shard as usize),
+        Frame::Scale { shards } => inner.scale(shards as usize),
         Frame::Shutdown => {
             inner.shutdown_requested.store(true, Ordering::SeqCst);
-            send(&Frame::ControlOk { detail: "shutting down".into() })
+            Frame::ControlOk { detail: "shutting down".into() }
         }
         Frame::Response { .. }
         | Frame::Rejected { .. }
@@ -770,8 +765,36 @@ fn dispatch(inner: &Arc<Inner>, frame: Frame, reply: &Sender<Vec<u8>>) -> bool {
         | Frame::HealthReply(_)
         | Frame::ControlOk { .. }
         | Frame::ControlErr { .. } => {
-            send(&Frame::ControlErr { msg: "server-side frame on client path".into() });
-            false
+            send(replies, &Frame::ControlErr { msg: "server-side frame on client path".into() });
+            return false;
         }
+    };
+    send(replies, &reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connection_has_nagle_off_and_dies_on_a_vanished_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (reader, replies) = setup_conn(listener.accept().expect("accept").0).expect("setup");
+        assert!(reader.get_ref().nodelay().expect("read half nodelay"));
+        {
+            let conn = replies.lock().expect("reply lock");
+            let write_half = conn.as_ref().expect("fresh connection is live");
+            assert!(write_half.nodelay().expect("write half nodelay"));
+            assert_eq!(write_half.write_timeout().expect("timeout"), Some(WRITE_TIMEOUT));
+        }
+        // The peer is gone: the first reply may still be accepted by the
+        // kernel, the RST it provokes fails a later one, and from then on
+        // the connection is dead.
+        drop(client);
+        let frame = Frame::ControlOk { detail: "x".into() };
+        assert!((0..100).any(|_| !send(&replies, &frame)), "writes to a closed peer must fail");
+        assert!(replies.lock().expect("reply lock").is_none(), "a failed write marks it dead");
+        assert!(!send(&replies, &frame));
     }
 }

@@ -9,6 +9,11 @@
 //! the latency of *admitted* requests stays bounded while the rejection
 //! ratio (not queueing delay) absorbs the overload.
 //!
+//! Latency is timed from each request's *due* time, not from when it
+//! actually left: a sender that falls behind schedule would otherwise
+//! hide the queueing it caused (coordinated omission). Nagle is off on
+//! the request connection, so a request leaves when it is due.
+//!
 //! The payload mix is seeded ([`indra_rng`]) but pacing is wall-clock:
 //! determinism of the *served* trajectory is the daemon's ingress-log
 //! job, not the client's.
@@ -48,7 +53,8 @@ pub struct SweepPoint {
     pub quarantined: u64,
     /// Responses per second over the point's wall time.
     pub achieved_rps: f64,
-    /// Wall-clock latency of admitted requests, microseconds.
+    /// Wall-clock latency of admitted requests from their due time,
+    /// microseconds.
     pub wall_us: HistogramSummary,
 }
 
@@ -161,6 +167,7 @@ fn run_point(
     payloads: &[(bool, Vec<u8>)],
 ) -> Result<SweepPoint, String> {
     let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
+    stream.set_nodelay(true).map_err(|e| io_err("set nodelay", e))?;
     let mut write_half = stream.try_clone().map_err(|e| io_err("clone socket", e))?;
     let mut read_half = stream.try_clone().map_err(|e| io_err("clone socket", e))?;
     let pending: Arc<Mutex<HashMap<u64, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -172,12 +179,12 @@ fn run_point(
         std::thread::spawn(move || loop {
             match read_frame(&mut read_half) {
                 Ok(Frame::Response { id, verdict, .. }) => {
-                    let sent_at = pending.lock().expect("pending lock").remove(&id);
+                    let due = pending.lock().expect("pending lock").remove(&id);
                     let mut c = collected.lock().expect("collected lock");
                     c.admitted += 1;
                     c.last_response_at = Some(Instant::now());
-                    if let Some(at) = sent_at {
-                        c.hist.record(at.elapsed().as_micros() as u64);
+                    if let Some(due) = due {
+                        c.hist.record(due.elapsed().as_micros() as u64);
                     }
                     match verdict {
                         Verdict::Served => c.served += 1,
@@ -207,7 +214,7 @@ fn run_point(
         // Open loop: if we are behind schedule we send immediately and
         // never try to "catch up" by bursting ahead of real time.
         let id = i as u64;
-        pending.lock().expect("pending lock").insert(id, Instant::now());
+        pending.lock().expect("pending lock").insert(id, target);
         let frame = Frame::Request { id, malicious: *malicious, data: data.clone() };
         write_frame(&mut write_half, &frame).map_err(|e| io_err("send request", e))?;
     }
